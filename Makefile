@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: all build vet test race differential bench benchcmp benchbase clockcheck obs-smoke wire-smoke chaos-smoke stamp-smoke fleet-smoke durable-smoke fuzz ci clean
+.PHONY: all build vet test race differential bench benchcmp benchbase clockcheck obs-smoke wire-smoke chaos-smoke fleet-smoke durable-smoke fuzz ci clean
 
 # The benchmarks the allocation gate watches: the happens-before front-end
-# (snapshot stamping, serial and parallel two-pass), the sharded pipeline
+# (snapshot stamping), the sharded pipeline
 # fed by it, the detection back-end layout (inline/open-addressed store vs
 # the map reference), the disabled-path cost of the obs metrics facility,
 # and the RDB2 wire codec against the streaming text parser.
-GATE_BENCH = BenchmarkStampAll|BenchmarkStampParallel|BenchmarkProcessAction|BenchmarkPipelineFrontend|BenchmarkDetectBackend|BenchmarkObsDisabled|BenchmarkWireDecode|BenchmarkWireEncode|BenchmarkTextParse
+GATE_BENCH = BenchmarkStampAll|BenchmarkProcessAction|BenchmarkPipelineFrontend|BenchmarkDetectBackend|BenchmarkObsDisabled|BenchmarkWireDecode|BenchmarkWireEncode|BenchmarkTextParse
 GATE_PKGS  = ./internal/hb ./internal/pipeline ./internal/core ./internal/obs ./internal/wire
 
 all: build
@@ -27,12 +27,14 @@ race:
 	$(GO) test -race ./...
 
 # The serial-vs-sharded differential tests: trace replay, single-shard
-# byte-for-byte, the live same-runtime comparison, the parallel-vs-serial
-# stamping differentials (byte-identical clocks over the trace corpus), and
-# the back-end layout differentials (allocation-free store vs the map-based
-# reference, including the h2sim/snitch workloads in the root package).
+# byte-for-byte, the live same-runtime comparison, the stamping
+# differentials (StampAll, Stream and the clone-per-event reference agree
+# clock-for-clock over the trace corpus; export/import continues the serial
+# run exactly), and the back-end layout differentials (allocation-free
+# store vs the map-based reference, including the h2sim/snitch workloads
+# in the root package).
 differential:
-	$(GO) test -race -run 'TestDifferential|TestSingleShardByteForByte|TestParallelMatchesSerial|TestCorpusParallel|TestRunParallelMatchesSerial' \
+	$(GO) test -race -run 'TestDifferential|TestSingleShardByteForByte|TestParallelMatchesSerial|TestCorpusStamping|TestEngineExportImportDifferential' \
 		. ./internal/pipeline ./internal/monitor ./internal/hb ./internal/core -v
 
 bench:
@@ -74,11 +76,6 @@ wire-smoke:
 # a short decoder fuzz budget, and live rd2d -inject runs (see ci.sh -chaos).
 chaos-smoke:
 	./ci.sh -chaos-only
-
-# Parallel-stamping smoke: the parallel-vs-serial stamping differentials
-# under -race at GOMAXPROCS 1, 2 and 4 (see ci.sh -stamp).
-stamp-smoke:
-	./ci.sh -stamp-only
 
 # Fleet-scheduling smoke: the multi-tenant scheduler tests under -race and
 # -tags=clockcheck, a live fleet-vs-perconn differential over the trace

@@ -90,8 +90,6 @@ func run(args []string) int {
 	engine := fs.String("engine", "bounded", "conflict engine: bounded or enumerating")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
 		"detection shards; >1 runs the parallel pipeline, <=1 the serial detector")
-	stampWorkers := fs.Int("stampworkers", 1,
-		"happens-before stamping workers; >=2 runs the two-pass parallel stamping front end")
 	maxRaces := fs.Int("max-races", 100, "maximum races to print")
 	quiet := fs.Bool("q", false, "print only the summary line")
 	grouped := fs.Bool("summary", false, "group redundant races by object and method pair")
@@ -217,21 +215,12 @@ func run(args []string) int {
 	}
 
 	var det detector
-	runTrace := func(tr *trace.Trace) error { return det.RunTrace(tr) }
 	if *shards > 1 {
-		// The sharded pipeline: happens-before stamping (two-pass
-		// parallel with -stampworkers >= 2), parallel per-object
-		// detection, merged report in canonical order.
-		det = pipeline.New(pipeline.Config{
-			Shards: *shards, StampWorkers: *stampWorkers, Core: ccfg,
-		})
+		// The sharded pipeline: serial happens-before stamping, parallel
+		// per-object detection, merged report in canonical order.
+		det = pipeline.New(pipeline.Config{Shards: *shards, Core: ccfg})
 	} else {
-		cd := core.New(ccfg)
-		det = cd
-		if *stampWorkers >= 2 {
-			w := *stampWorkers
-			runTrace = func(tr *trace.Trace) error { return cd.RunTraceParallel(tr, w) }
-		}
+		det = core.New(ccfg)
 	}
 	objs := map[trace.ObjID]bool{}
 	for _, e := range tr.Events {
@@ -265,7 +254,7 @@ func run(args []string) int {
 		}
 	}
 
-	if err := runTrace(tr); err != nil {
+	if err := det.RunTrace(tr); err != nil {
 		fmt.Fprintf(os.Stderr, "rd2: %v\n", err)
 		return 2
 	}

@@ -11,12 +11,9 @@
 //	                       (freedPageSpace, chunks, samples-size hint)
 //	rd2bench -shardscale   sharded pipeline throughput at 1, 2, 4, and
 //	                       GOMAXPROCS shards vs the serial detector
-//	rd2bench -stampscale   two-pass parallel stamping throughput at 1, 2,
-//	                       4, and GOMAXPROCS workers vs the serial front end
 //	rd2bench -replay f     replay a recorded trace file (text or .rdb
 //	                       binary, auto-detected) through serial and
-//	                       sharded detection (-stampworkers N stamps the
-//	                       sharded pass with the parallel front end)
+//	                       sharded detection
 //
 // With no selection flags, everything runs (except -shardscale, which is
 // opt-in). -scale multiplies workload sizes (higher = more stable timings).
@@ -59,10 +56,8 @@ func run(args []string) int {
 	overhead := fs.Bool("overhead", false, "run the per-event analysis cost comparison")
 	ablation := fs.Bool("ablation", false, "run the design-choice ablations")
 	shardscale := fs.Bool("shardscale", false, "run the shard-scaling throughput experiment")
-	stampscale := fs.Bool("stampscale", false, "run the stamp-worker scaling experiment (two-pass parallel front end)")
 	replayPath := fs.String("replay", "", "replay a recorded trace file (text or .rdb RDB2 binary, auto-detected by magic header) through serial and sharded detection")
 	replaySpec := fs.String("replay-spec", "dict", "built-in specification registered for every object during -replay")
-	stampWorkers := fs.Int("stampworkers", 1, "happens-before stamping workers for -replay's sharded pass; >=2 runs the two-pass parallel front end")
 	scale := fs.Int("scale", 2, "workload scale multiplier")
 	seed := fs.Int64("seed", 42, "workload random seed")
 	shards := fs.Int("shards", 0, "add a sharded-pipeline pass with N shards to Table 2 (0 = off)")
@@ -76,7 +71,7 @@ func run(args []string) int {
 		return 2
 	}
 	all := !*table2 && !*fig4 && !*complexity && !*races && !*overhead && !*ablation &&
-		!*shardscale && !*stampscale && *replayPath == ""
+		!*shardscale && *replayPath == ""
 
 	if *httpAddr != "" || *statsInterval > 0 || *obsFlag {
 		obs.SetEnabled(true)
@@ -136,7 +131,7 @@ func run(args []string) int {
 	}
 	if *replayPath != "" {
 		fmt.Println("== Trace replay: serial vs sharded detection ==")
-		if err := runReplay(*replayPath, *replaySpec, *shards, *stampWorkers); err != nil {
+		if err := runReplay(*replayPath, *replaySpec, *shards); err != nil {
 			fmt.Fprintf(os.Stderr, "rd2bench: %v\n", err)
 			return 1
 		}
@@ -150,24 +145,6 @@ func run(args []string) int {
 		}
 		rows := harness.RunShardScaling(counts, *scale, *seed)
 		fmt.Print(harness.RenderShardScaling(rows))
-		fmt.Println()
-	}
-	if *stampscale {
-		fmt.Println("== Stamp-worker scaling: two-pass parallel front end ==")
-		counts := []int{1, 2, 4}
-		if n := runtime.GOMAXPROCS(0); n > 4 {
-			counts = append(counts, n)
-		}
-		sh := *shards
-		if sh <= 0 {
-			sh = 4
-		}
-		rows, err := harness.RunStampScaling(counts, sh, *scale, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rd2bench: %v\n", err)
-			return 1
-		}
-		fmt.Print(harness.RenderStampScaling(rows))
 		fmt.Println()
 	}
 	if *fig4 || all {
@@ -231,10 +208,8 @@ func run(args []string) int {
 
 // runReplay loads a recorded trace (format auto-detected: RDB2 binary or
 // text) and runs it through the serial detector and the sharded pipeline,
-// reporting wall-clock throughput and the (identical) race counts. With
-// stampWorkers >= 2 the sharded pass stamps happens-before clocks with the
-// two-pass parallel front end.
-func runReplay(path, specName string, shards, stampWorkers int) error {
+// reporting wall-clock throughput and the (identical) race counts.
+func runReplay(path, specName string, shards int) error {
 	rep, err := specs.Rep(specName)
 	if err != nil {
 		return err
@@ -268,7 +243,7 @@ func runReplay(path, specName string, shards, stampWorkers int) error {
 	if shards <= 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	p := pipeline.New(pipeline.Config{Shards: shards, StampWorkers: stampWorkers})
+	p := pipeline.New(pipeline.Config{Shards: shards})
 	for o := range objs {
 		p.Register(o, rep)
 	}

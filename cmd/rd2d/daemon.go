@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/ap"
@@ -42,7 +43,6 @@ type daemonConfig struct {
 	bindSpecs    map[trace.ObjID]string
 	engine       core.Engine
 	shards       int
-	stampWorkers int // >= 2 runs the chunked two-pass stamping worker
 	maxRaces     int
 	queueLen     int           // per-connection ingest queue, in events
 	idleTimeout  time.Duration // per-read deadline; 0 disables
@@ -62,8 +62,8 @@ type daemonConfig struct {
 
 	// Durable sessions (DESIGN.md §15; off when stateDir is empty).
 	stateDir   string
-	ckptEvery  int // snapshot cadence in events; 0 = DefaultCkptEvery
-	fsyncMode  int // fsyncOff | fsyncCkpt | fsyncAlways
+	ckptEvery  int               // snapshot cadence in events; 0 = DefaultCkptEvery
+	fsyncMode  int               // fsyncOff | fsyncCkpt | fsyncAlways
 	reportSeqs map[string]uint64 // per-session durable JSONL seq from a prior life
 
 	// Fleet scheduling (DESIGN.md §14). maxSessions and the quota fields
@@ -659,6 +659,9 @@ func connLost(err error) bool {
 	}
 	if errors.Is(err, wire.ErrTruncated) {
 		return true // stream cut mid-frame (includes read timeouts mid-frame)
+	}
+	if errors.Is(err, syscall.ECONNRESET) {
+		return true // peer aborted (crash, or closed with our acks unread)
 	}
 	return isTimeout(err)
 }

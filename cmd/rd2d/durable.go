@@ -265,25 +265,6 @@ func (ds *durSession) ckptDone(cum int) {
 	ds.mu.Unlock()
 }
 
-// ckptDueAt reports the nearest published boundary past cur at which a
-// checkpoint would be due, for the chunked worker to cap its drains at
-// (chunks must not straddle a boundary the worker intends to snapshot at,
-// or the engine stamps past it; capping at a boundary that turns out not
-// due only costs a shorter chunk, never correctness).
-func (ds *durSession) ckptDueAt(cur int) (int, bool) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	for _, b := range ds.bounds {
-		if b.cum > cur {
-			if ds.force || b.cum-ds.lastCkpt >= ds.every {
-				return b.cum, true
-			}
-			return 0, false
-		}
-	}
-	return 0, false
-}
-
 // pushBoundary publishes a boundary directly (the WAL replay path, where
 // frames are already on disk and only the positions are rebuilt).
 func (ds *durSession) pushBoundary(b boundary) {
@@ -321,10 +302,10 @@ type snapMeta struct {
 
 // maybeCheckpoint snapshots the session at the current position when a
 // published boundary lands exactly here and the cadence (or a post-replay
-// force) says it is due. Called by the worker before processing each event
-// (serial, fleet) or between chunks (chunked), so the engine has stamped
-// exactly the events the boundary covers. A degraded or failed session is
-// never checkpointed — partial state must not shadow the honest WAL.
+// force) says it is due. Called by the worker (per-conn or fleet) before
+// processing each event, so the engine has stamped exactly the events the
+// boundary covers. A degraded or failed session is never checkpointed —
+// partial state must not shadow the honest WAL.
 func (s *session) maybeCheckpoint() {
 	ds := s.dur
 	if ds == nil || ds.ckptErr != nil || s.panicked || s.procErr != nil {

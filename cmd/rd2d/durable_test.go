@@ -127,8 +127,6 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	const sid = "dur"
 	modeCfg := func(c *daemonConfig) {
 		switch mode {
-		case "chunked":
-			c.stampWorkers = 2
 		case "fleet":
 			c.fleet = true
 		}
@@ -275,10 +273,10 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 }
 
 // TestDurableRestartDifferential runs the crash/restart differential in
-// every worker mode: the serial pipeline worker, the chunked two-pass
-// stamping worker, and fleet quanta on the shared pool.
+// both worker modes: the serial pipeline worker and fleet quanta on the
+// shared pool.
 func TestDurableRestartDifferential(t *testing.T) {
-	for _, mode := range []string{"serial", "chunked", "fleet"} {
+	for _, mode := range []string{"serial", "fleet"} {
 		t.Run(mode, func(t *testing.T) { durableRestartDiff(t, mode, nil) })
 	}
 }

@@ -10,11 +10,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
 	"net"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,14 +27,50 @@ import (
 	"repro/internal/wire"
 )
 
+// logBuffer is a daemon log sink safe for the concurrent session workers.
+type logBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// requirePanicLines checks that the daemon log carries want recovered
+// worker panic lines and that each names the injected event: the event
+// text of tr's panicAt-th event and the injector's own message.
+func requirePanicLines(t *testing.T, logs string, tr *trace.Trace, panicAt, want int) {
+	t.Helper()
+	line := fmt.Sprintf("recovered worker panic at event %s: faultinject: injected worker panic at event %d",
+		tr.Events[panicAt-1].String(), panicAt)
+	if got := strings.Count(logs, "recovered worker panic"); got != want {
+		t.Fatalf("%d recovered worker panic lines, want %d:\n%s", got, want, logs)
+	}
+	if got := strings.Count(logs, line); got != want {
+		t.Fatalf("%d log lines contain %q, want %d:\n%s", got, line, want, logs)
+	}
+}
+
 // TestDaemonSurvivesWorkerPanic arms the session-worker panic injector. The
-// session must finish with a degraded (partial but honest) summary, and the
-// daemon must keep serving.
+// session must finish with a degraded (partial but honest) summary, the
+// daemon must keep serving, and the recovery log line must name the exact
+// event the worker panicked on.
 func TestDaemonSurvivesWorkerPanic(t *testing.T) {
 	tr, _ := racyTrace(t)
 	const panicAt = 10
+	var logs logBuffer
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		c.injectWorkerPanic = panicAt
+		c.logger = log.New(&logs, "", 0)
 	})
 
 	cl, err := wire.Dial(d.Addr(), 2*time.Second)
@@ -75,6 +114,77 @@ func TestDaemonSurvivesWorkerPanic(t *testing.T) {
 	}
 	if got := d.degraded.Load(); got != 2 {
 		t.Fatalf("daemon degraded counter = %d, want 2", got)
+	}
+	requirePanicLines(t, logs.String(), tr, panicAt, 2)
+}
+
+// TestDaemonStampErrorPositioned streams a malformed trace (a receive with
+// no pending send) into the per-conn and the fleet worker. Both must fail
+// the session with the same positioned error and count every event.
+func TestDaemonStampErrorPositioned(t *testing.T) {
+	bad := &trace.Trace{}
+	bad.Append(trace.Fork(0, 1))
+	bad.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
+	bad.Append(trace.Recv(1, 3)) // no pending send
+	bad.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
+
+	for _, fleetMode := range []bool{false, true} {
+		d, done := testDaemonCfg(t, nil, func(c *daemonConfig) { c.fleet = fleetMode })
+		cl, err := wire.Dial(d.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.SendSource(bad.Source()); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := cl.Close(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Shutdown()
+		if err := <-done; err != nil {
+			t.Fatalf("fleet=%v: Serve: %v", fleetMode, err)
+		}
+		if !strings.HasPrefix(sum.Error, "event 2 (t1 recv c3): ") {
+			t.Fatalf("fleet=%v: session error %q, want the position of the bad receive", fleetMode, sum.Error)
+		}
+		if sum.Events != bad.Len() {
+			t.Fatalf("fleet=%v: %d events counted, want %d", fleetMode, sum.Events, bad.Len())
+		}
+	}
+}
+
+// TestDaemonParksOnConnectionReset: a client that vanishes with a TCP
+// reset (a crash, or a close with the daemon's acks unread) has lost its
+// connection as surely as one that sent a FIN, so its resumable session
+// must park for a resume rather than fail.
+func TestDaemonParksOnConnectionReset(t *testing.T) {
+	tr, _ := racyTrace(t)
+	const sid, frameSize = "reset", 96
+	d, done := testDaemon(t, nil)
+	prefix, chunks := sessionLayout(t, tr, frameSize, sid)
+	data := encodeSession(t, tr, sid, frameSize)
+
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(data[:prefix+chunks[0]]); err != nil {
+		t.Fatal(err)
+	}
+	// The first ack proves the daemon read chunk 0, so the reset cannot
+	// discard stream bytes it has not read yet.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+		t.Fatalf("waiting for the first ack: %v", err)
+	}
+	conn.(*net.TCPConn).SetLinger(0) // Close sends RST, not FIN
+	conn.Close()
+
+	waitParked(t, d, sid)
+	d.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }
 
@@ -194,27 +304,36 @@ func TestDaemonResyncCorruptionVariants(t *testing.T) {
 // connection is forwarded transparently, so a resumable client can sever at
 // a precise byte offset and then resume.
 type severProxy struct {
-	ln     net.Listener
-	target string
-	cut    int64
+	ln  net.Listener
+	d   *daemon
+	sid string
+	cut int64
 
 	mu      sync.Mutex
 	severed bool
 }
 
-func newSeverProxy(t *testing.T, target string, cut int64) *severProxy {
+func newSeverProxy(t *testing.T, d *daemon, sid string, cut int64) *severProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &severProxy{ln: ln, target: target, cut: cut}
+	p := &severProxy{ln: ln, d: d, sid: sid, cut: cut}
 	t.Cleanup(func() { ln.Close() })
 	go p.serve()
 	return p
 }
 
 func (p *severProxy) addr() string { return p.ln.Addr().String() }
+
+// routed reports whether the daemon holds a session for the proxied sid.
+func (p *severProxy) routed() bool {
+	p.d.mu.Lock()
+	defer p.d.mu.Unlock()
+	_, ok := p.d.sessions[p.sid]
+	return ok
+}
 
 func (p *severProxy) serve() {
 	for {
@@ -227,7 +346,7 @@ func (p *severProxy) serve() {
 }
 
 func (p *severProxy) handle(client net.Conn) {
-	server, err := net.Dial("tcp", p.target)
+	server, err := net.Dial("tcp", p.d.Addr())
 	if err != nil {
 		client.Close()
 		return
@@ -243,6 +362,13 @@ func (p *severProxy) handle(client net.Conn) {
 	}()
 	if first {
 		io.CopyN(server, client, p.cut)
+		// Sever only after the daemon has routed this connection's hello.
+		// Until then the session does not exist, and the client's
+		// reconnect could reach the daemon first and open it afresh,
+		// leaving nothing to resume.
+		for deadline := time.Now().Add(10 * time.Second); !p.routed() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		client.Close()
 		server.Close()
 		return
@@ -404,7 +530,7 @@ func diffResumeCorpus(t *testing.T, path string) {
 		cut += int64(chunkLen)
 		var report bytes.Buffer
 		d, done := testDaemon(t, &report)
-		proxy := newSeverProxy(t, d.Addr(), cut)
+		proxy := newSeverProxy(t, d, sid, cut)
 
 		rc, err := wire.DialSession(proxy.addr(), sid, 2*time.Second)
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -364,7 +365,7 @@ func TestFleetMultiTenantChaos(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				sid := sidForChaos(tn, i)
-				proxy := newSeverProxy(t, d.Addr(), cutAt(i))
+				proxy := newSeverProxy(t, d, sid, cutAt(i))
 				rc, err := wire.DialSession(proxy.addr(), sid, 2*time.Second)
 				if err != nil {
 					errs <- fmt.Errorf("%s: dial: %w", sid, err)
@@ -595,14 +596,17 @@ func TestFleetTenantSurfaces(t *testing.T) {
 // the fleet scheduler on: the quantum's recover must degrade the session
 // (partial but honest summary, the runner counted as a failed unit), the
 // shared worker pool must keep serving other sessions, and shutdown must
-// stay clean — one poisoned session cannot take down the fleet.
+// stay clean — one poisoned session cannot take down the fleet. The
+// recovery log line must name the exact event the quantum panicked on.
 func TestFleetSurvivesInjectedWorkerPanic(t *testing.T) {
 	tr, _ := racyTrace(t)
 	const panicAt = 10
+	var logs logBuffer
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		c.fleet = true
 		c.fleetWorkers = 2
 		c.injectWorkerPanic = panicAt
+		c.logger = log.New(&logs, "", 0)
 	})
 
 	sum := streamOnce(t, d, tr, "acme")
@@ -631,4 +635,5 @@ func TestFleetSurvivesInjectedWorkerPanic(t *testing.T) {
 	if got := d.degraded.Load(); got != 2 {
 		t.Fatalf("daemon degraded counter = %d, want 2", got)
 	}
+	requirePanicLines(t, logs.String(), tr, panicAt, 2)
 }

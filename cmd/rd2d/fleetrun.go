@@ -20,16 +20,14 @@ import (
 	"runtime/debug"
 
 	"repro/internal/core"
-	"repro/internal/hb"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // fleetRunner adapts one session to fleet.Runnable.
 type fleetRunner struct {
-	s    *session
-	det  *core.Detector
-	skel *obs.Span
+	s     *session
+	det   *core.Detector
 	stamp *obs.Span
 
 	sinceCompact int
@@ -38,14 +36,11 @@ type fleetRunner struct {
 }
 
 // startFleet wires a new session into the shared scheduler instead of
-// starting a private worker: serial detector, run-queue entry. Fleet
-// sessions always stamp serially — quanta are small and the two-pass
-// chunked stamper's win comes from large drains the DRR grant forbids.
+// starting a private worker: serial detector, run-queue entry.
 func (s *session) startFleet(ccfg core.Config) {
 	r := &fleetRunner{
 		s:     s,
 		det:   core.New(ccfg),
-		skel:  s.scope.Span(obs.StageSkeleton),
 		stamp: s.scope.Span(obs.StageStamp),
 	}
 	s.runner = r
@@ -94,8 +89,8 @@ func (r *fleetRunner) RunQuantum(n int) (used int, more bool) {
 	return used, true
 }
 
-// process runs one event: the per-event body of session.workSerial and
-// session.dispatch, against the serial detector instead of the pipeline.
+// process runs one event: the per-event body of session.work, against
+// the serial detector instead of the pipeline.
 func (r *fleetRunner) process(e *trace.Event) {
 	s := r.s
 	if r.dead {
@@ -109,17 +104,13 @@ func (r *fleetRunner) process(e *trace.Event) {
 	if s.procErr != nil {
 		return // drain
 	}
-	s.lastEv = e.String()
+	s.lastEv = *e
 	if k := s.d.cfg.injectWorkerPanic; k > 0 && s.events == k {
 		panic(fmt.Sprintf("faultinject: injected worker panic at event %d", k))
 	}
-	sp := r.skel
-	if hb.IsBodyEvent(e.Kind) {
-		sp = r.stamp
-	}
-	start := sp.Start()
+	start := r.stamp.Start()
 	_, err := s.en.Process(e)
-	sp.End(start, 1)
+	r.stamp.End(start, 1)
 	if err != nil {
 		s.procErr = fmt.Errorf("event %d (%s): %w", e.Seq, e.String(), err)
 		return

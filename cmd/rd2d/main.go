@@ -57,8 +57,6 @@ func run(args []string) int {
 	bind := fs.String("bind", "", "per-object specs, e.g. 0=dict,3=set")
 	engine := fs.String("engine", "bounded", "conflict engine: bounded or enumerating")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "detection shards per session")
-	stampWorkers := fs.Int("stampworkers", 1,
-		"happens-before stamping workers per session; >=2 stamps ingest chunks with the two-pass parallel engine")
 	maxRaces := fs.Int("max-races", 100, "maximum races retained per session")
 	queueLen := fs.Int("queue", 1024, "per-connection ingest queue depth in events")
 	idleTimeout := fs.Duration("idle-timeout", 30*time.Second, "per-read idle timeout (0 disables)")
@@ -70,7 +68,7 @@ func run(args []string) int {
 	fsyncMode := fs.String("fsync", "ckpt", "with -statedir: off (safe against process crashes only), ckpt (fsync WAL and snapshot at checkpoints), always (also fsync every WAL append)")
 	inject := fs.String("inject", "", "fault injection for chaos testing, e.g. rep-panic:100 or worker-panic:50")
 	compactOps := fs.Int("compact-every", 4096, "compact reclaimable detector state at most once per this many events (0 disables; compaction may trim dead-thread entries from reported point clocks)")
-	fleetMode := fs.Bool("fleet", false, "multi-tenant fleet scheduling: run sessions as quanta on a shared worker pool with per-tenant deficit-round-robin fairness (sessions stamp serially; -shards and -stampworkers apply only to per-conn mode)")
+	fleetMode := fs.Bool("fleet", false, "multi-tenant fleet scheduling: run sessions as quanta on a shared worker pool with per-tenant deficit-round-robin fairness (each session runs one serial detector; -shards applies only to per-conn mode)")
 	fleetWorkers := fs.Int("fleet-workers", 0, "fleet worker pool size (with -fleet; 0 = GOMAXPROCS)")
 	fleetQuantum := fs.Int("fleet-quantum", 0, "events granted per tenant scheduling round (0 = built-in default)")
 	maxSessions := fs.Int("max-sessions", 0, "reject new sessions beyond this resident count with a retryable busy summary (0 = unbounded; enforced with or without -fleet)")
@@ -90,7 +88,6 @@ func run(args []string) int {
 	cfg := daemonConfig{
 		defaultSpec:  *specName,
 		shards:       *shards,
-		stampWorkers: *stampWorkers,
 		maxRaces:     *maxRaces,
 		queueLen:     *queueLen,
 		idleTimeout:  *idleTimeout,

@@ -3,7 +3,7 @@ package main
 // End-to-end acceptance for the fleet observability surfaces: two client
 // sessions stream concurrently into one daemon wired to a private metric
 // registry, and the test checks the operator's view — /sessions rows with
-// disjoint per-session figures, all six stage histograms populated, the
+// disjoint per-session figures, all five stage histograms populated, the
 // per-session /metrics filter, and a Prometheus scrape whose per-session
 // series sum to the rolled-up global series.
 
@@ -111,16 +111,16 @@ func TestDaemonObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// All six pipeline stages must have populated their latency histograms
+	// All five pipeline stages must have populated their latency histograms
 	// for the racy session (stage.report only fires when records are written).
-	stages := []string{obs.StageDecode, obs.StageSkeleton, obs.StageStamp,
+	stages := []string{obs.StageDecode, obs.StageStamp,
 		obs.StageDispatch, obs.StageDetect, obs.StageReport}
 	for _, st := range stages {
 		if byID["alpha"].Stages[st].Count == 0 {
 			t.Errorf("alpha: stage %q has no samples: %+v", st, byID["alpha"].Stages)
 		}
 	}
-	for _, st := range stages[:5] {
+	for _, st := range stages[:4] {
 		if byID["beta"].Stages[st].Count == 0 {
 			t.Errorf("beta: stage %q has no samples: %+v", st, byID["beta"].Stages)
 		}

@@ -45,9 +45,10 @@ var (
 // scope so every write rolls up into the daemon-global series: ingest
 // counters (frames, events, races, backpressure), the queue-depth gauge
 // whose peak is the session's high-water backlog, and the two stage spans
-// the session records itself (wire decode and report emit; the skeleton,
-// stamp, dispatch, and detect spans come from the hb engine and pipeline
-// instruments resolved against the same scope).
+// the session records itself (wire decode and report emit; the stamp span
+// is recorded by the worker around the hb engine, and the dispatch and
+// detect spans come from the pipeline instruments resolved against the
+// same scope).
 type sessObs struct {
 	frames *obs.Counter
 	events *obs.Counter
@@ -123,7 +124,7 @@ type session struct {
 	degraded    bool // pipeline degraded or worker panicked
 	panicked    bool
 	procErr     error
-	lastEv      string // most recent event, for panic reports
+	lastEv      trace.Event // most recent event, formatted only in panic reports
 
 	// Reader-published stream facts (set before the queue closes).
 	clean   atomic.Bool
@@ -248,22 +249,7 @@ func (s *session) work() {
 			s.collect()
 		}
 	}()
-	if s.d.cfg.stampWorkers >= 2 {
-		s.workChunked()
-	} else {
-		s.workSerial()
-	}
-	s.collect()
-}
-
-// workSerial is the legacy per-event worker loop: incremental serial
-// stamping, immediate dispatch. Per-event stamping time is attributed to
-// the same skeleton/stamp stage spans as the two-pass engine, split by
-// event kind: sync events walk the engine state (the skeleton work), body
-// events reduce to stamping the segment snapshot.
-func (s *session) workSerial() {
 	s.applyRestore()
-	skel := s.scope.Span(obs.StageSkeleton)
 	stamp := s.scope.Span(obs.StageStamp)
 	sinceCompact := 0
 	for e := range s.queue {
@@ -275,127 +261,34 @@ func (s *session) workSerial() {
 		if s.procErr != nil {
 			continue // drain
 		}
-		s.lastEv = e.String()
+		s.lastEv = e
 		if n := s.d.cfg.injectWorkerPanic; n > 0 && s.events == n {
 			panic(fmt.Sprintf("faultinject: injected worker panic at event %d", n))
 		}
-		sp := skel
-		if hb.IsBodyEvent(e.Kind) {
-			sp = stamp
-		}
-		start := sp.Start()
+		start := stamp.Start()
 		_, err := s.en.Process(&e)
-		sp.End(start, 1)
+		stamp.End(start, 1)
 		if err != nil {
 			s.procErr = fmt.Errorf("event %d (%s): %w", e.Seq, e.String(), err)
 			continue
 		}
-		s.dispatch(&e, &sinceCompact)
-	}
-}
-
-// workChunked is the two-pass variant of the worker (-stampworkers >= 2):
-// it drains the queue in chunks — one blocking receive, then whatever else
-// is already buffered — stamps each chunk with the parallel two-pass
-// engine, and runs the per-event dispatch loop (lazy registration, fault
-// injection, pipeline feed, compaction) over the stamped chunk. Verdicts
-// and error positions match the serial worker exactly; an idle trickle
-// degrades to chunks of one event, the same work the serial loop does.
-func (s *session) workChunked() {
-	ps := hb.NewParallelStamperObs(s.d.cfg.stampWorkers, s.scope)
-	s.en = ps.Engine() // compaction thresholds (MeetLive) come from here
-	s.applyRestore()
-	max := s.d.cfg.queueLen
-	if max < 1 {
-		max = 1
-	}
-	chunk := make([]trace.Event, 0, max)
-	sinceCompact := 0
-	for {
-		e, ok := <-s.queue
-		if !ok {
-			return
-		}
-		// The blocking receive is a frame-boundary opportunity: the
-		// received event is not processed yet, so the worker still sits at
-		// the boundary the decoder last published.
-		s.maybeCheckpoint()
-		// When a checkpoint will be due at the next published boundary, cap
-		// the chunk there: the engine must not stamp past a boundary the
-		// worker intends to snapshot at.
-		limit := max
-		if ds := s.dur; ds != nil {
-			if nb, ok := ds.ckptDueAt(s.events); ok {
-				if room := nb - s.events; room < limit {
-					limit = room
-				}
+		// Lazy registration ahead of the object's first action, then the
+		// event itself, then the post-join compaction check.
+		if e.Kind == trace.ActionEvent && !s.registered[e.Act.Obj] {
+			rep, _ := s.d.repFor(e.Act.Obj)
+			if s.wrapRep != nil {
+				rep = s.wrapRep(rep)
 			}
+			s.p.Register(e.Act.Obj, rep)
+			s.registered[e.Act.Obj] = true
 		}
-		chunk = append(chunk[:0], e)
-	drain:
-		for len(chunk) < limit {
-			select {
-			case e, ok := <-s.queue:
-				if !ok {
-					s.runChunk(ps, chunk, &sinceCompact)
-					return
-				}
-				chunk = append(chunk, e)
-			default:
-				break drain
-			}
+		s.p.Process(&e)
+		if e.Kind == trace.JoinEvent && s.d.cfg.compactOps > 0 && sinceCompact >= s.d.cfg.compactOps {
+			s.p.Compact(s.en.MeetLive())
+			sinceCompact = 0
 		}
-		s.runChunk(ps, chunk, &sinceCompact)
-		s.maybeCheckpoint()
 	}
-}
-
-// runChunk stamps one drained chunk and dispatches its events in order.
-// On a stamping error the valid prefix is still dispatched (the serial
-// loop's stop-at-first-error behavior) and the remainder only counted.
-func (s *session) runChunk(ps *hb.ParallelStamper, chunk []trace.Event, sinceCompact *int) {
-	if s.procErr != nil {
-		s.events += len(chunk)
-		*sinceCompact += len(chunk)
-		return
-	}
-	n, serr := ps.StampChunk(chunk)
-	for i := 0; i < n; i++ {
-		e := &chunk[i]
-		s.events++
-		*sinceCompact++
-		s.lastEv = e.String()
-		if k := s.d.cfg.injectWorkerPanic; k > 0 && s.events == k {
-			panic(fmt.Sprintf("faultinject: injected worker panic at event %d", k))
-		}
-		s.dispatch(e, sinceCompact)
-	}
-	if serr != nil {
-		bad := &chunk[n]
-		s.lastEv = bad.String()
-		s.events += len(chunk) - n
-		*sinceCompact += len(chunk) - n
-		s.procErr = fmt.Errorf("event %d (%s): %w", bad.Seq, bad.String(), serr)
-	}
-}
-
-// dispatch feeds one stamped event to the pipeline: lazy registration
-// ahead of the object's first action, then the event itself, then the
-// post-join compaction check.
-func (s *session) dispatch(e *trace.Event, sinceCompact *int) {
-	if e.Kind == trace.ActionEvent && !s.registered[e.Act.Obj] {
-		rep, _ := s.d.repFor(e.Act.Obj)
-		if s.wrapRep != nil {
-			rep = s.wrapRep(rep)
-		}
-		s.p.Register(e.Act.Obj, rep)
-		s.registered[e.Act.Obj] = true
-	}
-	s.p.Process(e)
-	if e.Kind == trace.JoinEvent && s.d.cfg.compactOps > 0 && *sinceCompact >= s.d.cfg.compactOps {
-		s.p.Compact(s.en.MeetLive())
-		*sinceCompact = 0
-	}
+	s.collect()
 }
 
 // collect closes the pipeline and harvests its results, under its own

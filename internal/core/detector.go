@@ -619,49 +619,3 @@ func (d *Detector) RunSource(src trace.Source) error {
 		}
 	}
 }
-
-// RunTraceParallel is RunTrace with the two-pass parallel stamping front
-// end (hb.StampAllParallel): the skeleton pass walks synchronization
-// events serially, worker goroutines stamp the action bodies, and
-// detection then runs over the stamped events. Clocks — and therefore race
-// verdicts, stats, and error positions — are identical to RunTrace's.
-// workers <= 1 degrades to a serial two-pass stamp.
-func (d *Detector) RunTraceParallel(tr *trace.Trace, workers int) error {
-	defer d.FlushObs()
-	ps := hb.NewParallelStamper(workers)
-	n, serr := ps.StampChunk(tr.Events)
-	ps.Engine().VerifySnapshots()
-	// The stamped valid prefix is detected either way, matching the
-	// serial loop's stop-at-first-error behavior.
-	for i := 0; i < n; i++ {
-		if err := d.Process(&tr.Events[i]); err != nil {
-			return err
-		}
-	}
-	if serr != nil {
-		return fmt.Errorf("core: event %d (%s): %w", n, tr.Events[n].String(), serr)
-	}
-	return nil
-}
-
-// RunSourceParallel is RunSource with the chunked pipelined front end
-// (hb.ParallelStream): skeleton stamping of the next chunk overlaps body
-// stamping of the current one, and detection consumes stamped chunks in
-// order. Race verdicts are identical to RunSource's.
-func (d *Detector) RunSourceParallel(src trace.Source, workers int) error {
-	defer d.FlushObs()
-	st := hb.NewParallelStream(src, hb.ParallelStreamConfig{Workers: workers})
-	defer st.Close()
-	for {
-		e, err := st.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		if err := d.Process(&e); err != nil {
-			return err
-		}
-	}
-}

@@ -536,3 +536,31 @@ func benchDetector(b *testing.B, engine Engine) {
 		}
 	}
 }
+
+// TestStampErrorKeepsPrefix: a stamping error (a receive with no pending
+// send) stops RunTrace and RunSource at the same positioned error, after
+// the valid prefix was detected.
+func TestStampErrorKeepsPrefix(t *testing.T) {
+	tr := &trace.Trace{}
+	tr.Append(trace.Fork(0, 1))
+	tr.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
+	tr.Append(trace.Recv(1, 9)) // no pending send
+	tr.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
+
+	for _, mode := range []string{"trace", "source"} {
+		d := New(Config{})
+		d.Register(0, dictRep)
+		var err error
+		if mode == "trace" {
+			err = d.RunTrace(tr)
+		} else {
+			err = d.RunSource(tr.Source())
+		}
+		if err == nil || !strings.Contains(err.Error(), "event 2 (t1 recv c9)") {
+			t.Fatalf("%s: err = %v, want the position of the bad receive", mode, err)
+		}
+		if n := d.Stats().Actions; n != 1 {
+			t.Fatalf("%s: %d actions detected, want the 1 before the error", mode, n)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package hb
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -40,29 +39,6 @@ func BenchmarkStampAll(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := StampAll(tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// BenchmarkStampParallel measures the two-pass engine on the
-// action-dominated trace across worker counts. workers=1 vs
-// BenchmarkStampAll/action isolates the two-pass overhead (skeleton walk +
-// boundary log + table replay); higher counts show body-pass scaling with
-// cores (flat on a single-core box, where the win comes from the
-// pipeline's zero-copy chunk dispatch instead).
-func BenchmarkStampParallel(b *testing.B) {
-	tr := trace.Generate(rand.New(rand.NewSource(42)), benchGenConfig(2000, 10))
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := StampAllParallel(tr, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

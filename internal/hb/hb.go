@@ -80,7 +80,6 @@ type threadState struct {
 	dead   bool // joined or ended
 	shared bool // clock is frozen: stamped on events, locks, or messages
 	tok    int  // clockcheck poison token for the frozen snapshot
-	gen    int  // segment generation, bumped on every copy-on-write rollover
 }
 
 // chanState carries the in-flight message clocks of one FIFO channel: the
@@ -159,7 +158,6 @@ func (en *Engine) mutable(ts *threadState) vclock.VC {
 		en.guard.verify(ts.tok)
 		ts.clock = vclock.SharedPool.Clone(ts.clock)
 		ts.shared = false
-		ts.gen++
 		en.segRollovers.Inc()
 	}
 	return ts.clock

@@ -14,7 +14,7 @@ import (
 // discipline is stripped. ExportState deep-copies them into a
 // self-contained EngineState; ImportState rebuilds a fresh engine that
 // stamps the continuation of the stream with clocks equal (as values) to
-// the uninterrupted run's. Segment bookkeeping (shared/tok/gen) is *not*
+// the uninterrupted run's. Segment bookkeeping (shared/tok) is *not*
 // carried over: imported clocks start as private mutable segment heads, and
 // the first freeze re-enters the sharing discipline. That changes which
 // events share snapshot pointers, never the clock values, so detection

@@ -119,41 +119,3 @@ func TestEngineExportImportMeetLive(t *testing.T) {
 		}
 	}
 }
-
-// The parallel two-pass stamper over an imported engine must agree with the
-// serial uninterrupted run — the chunked-session recovery path in rd2d.
-func TestParallelStamperOverImportedEngine(t *testing.T) {
-	for ti, tr := range stateTestTraces(t) {
-		want := stampVia(t, tr, -1)
-		split := tr.Len() / 2
-		en := New()
-		for i := 0; i < split; i++ {
-			e := tr.Events[i]
-			if _, err := en.Process(&e); err != nil {
-				t.Fatalf("Process: %v", err)
-			}
-		}
-		ps := NewParallelStamper(4)
-		if err := ps.Engine().ImportState(en.ExportState()); err != nil {
-			t.Fatalf("ImportState: %v", err)
-		}
-		rest := make([]trace.Event, tr.Len()-split)
-		copy(rest, tr.Events[split:])
-		n, err := ps.StampChunk(rest)
-		if err != nil {
-			t.Fatalf("StampChunk: %v", err)
-		}
-		if n != len(rest) {
-			t.Fatalf("StampChunk stamped %d of %d", n, len(rest))
-		}
-		for i, e := range rest {
-			if want[split+i] == nil {
-				continue
-			}
-			if !e.Clock.Equal(want[split+i]) {
-				t.Fatalf("trace %d: event %d (%v): parallel clock %v != serial %v",
-					ti, split+i, e, e.Clock, want[split+i])
-			}
-		}
-	}
-}

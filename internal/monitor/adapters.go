@@ -135,15 +135,14 @@ func AttachRD2Parallel(rt *Runtime, cfg pipeline.Config) *RD2Parallel {
 }
 
 // ReplayRecorded re-analyzes a recorded execution offline: the recorded
-// trace is re-stamped from scratch through the two-pass parallel front end
-// (pipeline.Config.StampWorkers) and re-detected on the sharded pipeline,
-// with every monitored object re-registered by kind. Live analyses attached
-// during recording are untouched — the recorded events are copied with
-// their clocks stripped, so the live run's shared snapshots stay immutable.
-// The returned pipeline is closed: results are ready to read. Use it to
-// re-check a live session's verdicts with different detection settings
-// (shard count, stamp workers, retention caps) without re-running the
-// workload.
+// trace is re-stamped from scratch by the serial happens-before engine and
+// re-detected on the sharded pipeline, with every monitored object
+// re-registered by kind. Live analyses attached during recording are
+// untouched — the recorded events are copied with their clocks stripped, so
+// the live run's shared snapshots stay immutable. The returned pipeline is
+// closed: results are ready to read. Use it to re-check a live session's
+// verdicts with different detection settings (shard count, retention caps)
+// without re-running the workload.
 func ReplayRecorded(rt *Runtime, cfg pipeline.Config) (*pipeline.Pipeline, error) {
 	tr := rt.Trace()
 	if tr == nil {

@@ -50,12 +50,8 @@ func TestReplayRecorded(t *testing.T) {
 	}
 
 	liveStats := live.Detector.Stats()
-	for _, cfg := range []pipeline.Config{
-		{Shards: 1, StampWorkers: 2},
-		{Shards: 4, StampWorkers: 2},
-		{Shards: 4, StampWorkers: 4},
-	} {
-		label := fmt.Sprintf("shards=%d stamp=%d", cfg.Shards, cfg.StampWorkers)
+	for _, cfg := range []pipeline.Config{{Shards: 1}, {Shards: 4}} {
+		label := fmt.Sprintf("shards=%d", cfg.Shards)
 		p, err := ReplayRecorded(rt, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

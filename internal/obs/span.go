@@ -1,14 +1,13 @@
 package obs
 
-// Span names for the six stages of the online detection pipeline, in
+// Span names for the five stages of the online detection pipeline, in
 // stream order. Each names a Span (a "<name>_ns" latency timer plus a
 // "<name>_items" throughput counter) recorded per session scope and rolled
 // up globally, so operators can see where time goes between the wire and
 // the race report — per tenant and fleet-wide.
 const (
 	StageDecode   = "stage.decode"   // wire frame → decoded events
-	StageSkeleton = "stage.skeleton" // serial skeleton pass over sync events
-	StageStamp    = "stage.stamp"    // body-event vector-clock stamping
+	StageStamp    = "stage.stamp"    // happens-before vector-clock stamping
 	StageDispatch = "stage.dispatch" // shard routing + queue handoff
 	StageDetect   = "stage.detect"   // per-shard commutativity race detection
 	StageReport   = "stage.report"   // race record serialization / JSONL emit

@@ -43,28 +43,4 @@ func BenchmarkPipelineFrontend(b *testing.B) {
 			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
-
-	// The two-pass parallel front end: parallel stamping plus zero-copy
-	// chunk dispatch. The benchgate ratio check (ci.sh) pins
-	// shards=4/stamp=2 at or below shards=1 on multi-CPU hosts — the
-	// Amdahl wall this path removes must not silently return — and bounds
-	// the two-pass overhead on single-CPU hosts, where no parallel
-	// speedup is physically possible.
-	for _, pc := range []struct{ shards, stamp int }{{4, 2}, {4, 4}} {
-		b.Run(fmt.Sprintf("shards=%d/stamp=%d", pc.shards, pc.stamp), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := New(Config{Shards: pc.shards, StampWorkers: pc.stamp})
-				for o := 0; o < gcfg.Objects; o++ {
-					p.Register(trace.ObjID(o), dictRep)
-				}
-				if err := p.RunTrace(tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
 }

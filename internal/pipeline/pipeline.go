@@ -37,9 +37,6 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
-	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ap"
 	"repro/internal/core"
@@ -96,18 +93,6 @@ type Config struct {
 	// DefaultQueueLen. The producer blocks when a shard falls this far
 	// behind (backpressure instead of unbounded buffering).
 	QueueLen int
-	// StampWorkers, when >= 2, switches RunTrace and RunSource to the
-	// two-pass parallel front end (hb.StampAllParallel / hb.ParallelStream)
-	// with that many body-stamping workers, and to zero-copy chunk
-	// dispatch: shards receive index lists into the shared stamped chunk
-	// instead of per-event copies. <= 1 keeps the serial stamper. The
-	// stamped clocks and race verdicts are identical either way (the
-	// differential tests in this package assert both).
-	StampWorkers int
-	// StampChunk is the events-per-chunk target of the parallel RunSource
-	// front end; <= 0 means hb.DefaultChunkSize. RunTrace always stamps
-	// the whole trace as one chunk.
-	StampChunk int
 	// Core configures each shard's private detector. MaxRaces caps both the
 	// per-shard retention and the merged report. OnRace, when set, is
 	// invoked from shard goroutines and must be safe for concurrent use.
@@ -126,7 +111,6 @@ const (
 	itemEvent    itemKind = iota // ev: a stamped action or die event
 	itemRegister                 // ev.Act.Obj + rep: object registration
 	itemCompact                  // threshold: compaction request
-	itemChunk                    // chunk + idxs: events read in place from a shared chunk
 	itemCtl                      // ctl: barrier control function (Barrier)
 )
 
@@ -145,28 +129,7 @@ type item struct {
 	ev        trace.Event
 	rep       ap.Rep
 	threshold vclock.VC
-	chunk     *eventChunk
-	idxs      []int32
 	ctl       *ctlItem
-}
-
-// eventChunk is a stamped run of events shared by every shard whose
-// objects appear in it. Shards index into events through their private
-// idxs list and never copy the ~136-byte Event; refs counts the shard
-// items in flight, and the last unref fires the release hook (recycling
-// the underlying hb.Chunk in the streaming path). Events are read-only for
-// all holders, exactly like a shared Event.Clock.
-type eventChunk struct {
-	events  []trace.Event
-	refs    atomic.Int32
-	release func()
-}
-
-// unref drops one shard's reference, firing the release hook on the last.
-func (c *eventChunk) unref() {
-	if c.refs.Add(-1) == 0 && c.release != nil {
-		c.release()
-	}
 }
 
 // shard is one worker: a private detector fed over a bounded channel. Each
@@ -206,9 +169,8 @@ type Pipeline struct {
 	cfg     Config
 	ob      *pipeObs
 	shards  []*shard
-	pending [][]item     // per-shard batch under construction (producer-owned)
-	free    chan []item  // recycled batch buffers
-	idxfree chan []int32 // recycled chunk index lists
+	pending [][]item    // per-shard batch under construction (producer-owned)
+	free    chan []item // recycled batch buffers
 	closed  bool
 
 	// Merged results, filled by Close.
@@ -242,7 +204,6 @@ func New(cfg Config) *Pipeline {
 		ob:      newPipeObs(reg),
 		pending: make([][]item, cfg.Shards),
 		free:    make(chan []item, cfg.Shards*(cfg.QueueLen+2)),
-		idxfree: make(chan []int32, cfg.Shards*4),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
@@ -288,15 +249,6 @@ func (p *Pipeline) run(s *shard) {
 				}
 			}
 		}
-		// Drop chunk references and recycle index lists outside the panic
-		// guard, so a mid-batch panic can never leak a chunk (stalling the
-		// streaming front end's buffer recycling) or double-release one.
-		for i := range batch {
-			if batch[i].kind == itemChunk && batch[i].chunk != nil {
-				batch[i].chunk.unref()
-				p.putIdx(batch[i].idxs)
-			}
-		}
 		// Recycle the buffer; drop item contents so clocks and reps are not
 		// retained past their batch.
 		clear(batch)
@@ -335,8 +287,6 @@ func (p *Pipeline) runBatch(s *shard, batch []item) (nEvents int) {
 					at = fmt.Sprintf("register obj %d", batch[i].ev.Act.Obj)
 				case itemCompact:
 					at = "compact"
-				case itemChunk:
-					at = fmt.Sprintf("chunk item (%d events)", len(batch[i].idxs))
 				case itemCtl:
 					at = "barrier ctl"
 				}
@@ -356,23 +306,6 @@ func (p *Pipeline) runBatch(s *shard, batch []item) (nEvents int) {
 			}
 			if err := s.det.Process(&it.ev); err != nil {
 				s.err, s.errSeq = err, it.ev.Seq
-			}
-		case itemChunk:
-			// Zero-copy dispatch: the shard's events are read in place from
-			// the shared stamped chunk through its private index list — no
-			// per-event item copies, one channel message per shard per
-			// chunk. The chunk reference is dropped by the caller (run)
-			// outside this panic guard.
-			nEvents += len(it.idxs)
-			if s.err != nil || s.dead {
-				continue
-			}
-			for _, ix := range it.idxs {
-				ev := &it.chunk.events[ix]
-				if err := s.det.Process(ev); err != nil {
-					s.err, s.errSeq = err, ev.Seq
-					break
-				}
 			}
 		case itemRegister:
 			if s.dead {
@@ -442,85 +375,6 @@ func (p *Pipeline) push(i int, it item) {
 		return
 	}
 	p.pending[i] = buf
-}
-
-// getIdx returns a recycled (or fresh) chunk index list.
-func (p *Pipeline) getIdx() []int32 {
-	select {
-	case b := <-p.idxfree:
-		return b[:0]
-	default:
-		return make([]int32, 0, 512)
-	}
-}
-
-// putIdx recycles a chunk index list (shard side, after processing).
-func (p *Pipeline) putIdx(b []int32) {
-	if cap(b) == 0 {
-		return
-	}
-	select {
-	case p.idxfree <- b[:0]:
-	default:
-	}
-}
-
-// unroutable marks events the chunk router drops (synchronization events,
-// already folded into clocks upstream). It also caps the shard count of
-// the chunk-dispatch path at 255.
-const unroutable = 0xFF
-
-// routeOf computes the chunk-dispatch routing byte for one event: the
-// owning shard for action/die events, unroutable for everything else. It
-// runs inside stamping workers, so it must only read the event.
-func (p *Pipeline) routeOf(e *trace.Event) uint8 {
-	switch e.Kind {
-	case trace.ActionEvent, trace.DieEvent:
-		return uint8(p.shardOf(e.Act.Obj))
-	}
-	return unroutable
-}
-
-// dispatchChunk fans one stamped chunk out to the shards: a private index
-// list per shard, one item per shard per chunk, events read in place.
-// routes[i] is events[i]'s shard (unroutable to drop); release, if
-// non-nil, fires when the last shard finishes with the chunk.
-func (p *Pipeline) dispatchChunk(events []trace.Event, routes []uint8, release func()) {
-	lists := make([][]int32, len(p.shards))
-	n := 0
-	for i, r := range routes {
-		if r == unroutable {
-			continue
-		}
-		if lists[r] == nil {
-			lists[r] = p.getIdx()
-			n++
-		}
-		lists[r] = append(lists[r], int32(i))
-	}
-	if n == 0 {
-		if release != nil {
-			release()
-		}
-		return
-	}
-	c := &eventChunk{events: events, release: release}
-	c.refs.Store(int32(n))
-	for sh, idxs := range lists {
-		if idxs == nil {
-			continue
-		}
-		// The chunk item rides the shard's ordered stream (after any
-		// pending registrations/compactions) and flushes it immediately:
-		// a chunk is a whole batch worth of events by itself, and prompt
-		// delivery keeps the streaming front end's buffer recycling and
-		// backpressure tight.
-		p.push(sh, item{kind: itemChunk, chunk: c, idxs: idxs})
-		if buf := p.pending[sh]; buf != nil {
-			p.send(sh, buf)
-			p.pending[sh] = nil
-		}
-	}
 }
 
 // Register associates an object with its access point representation. Like
@@ -732,14 +586,8 @@ func (p *Pipeline) Err() error { return p.err }
 // every event through the shards, and closes the pipeline. Objects must
 // already be registered. Stamping reuses one frozen snapshot per thread
 // segment end-to-end: the same clock slice flows from the engine through
-// the per-shard batches into the detectors without a single clone. With
-// Config.StampWorkers >= 2 the trace is stamped by the two-pass parallel
-// engine and dispatched as one zero-copy chunk (identical clocks, races,
-// and error positions).
+// the per-shard batches into the detectors without a single clone.
 func (p *Pipeline) RunTrace(tr *trace.Trace) error {
-	if p.cfg.StampWorkers >= 2 && len(p.shards) <= unroutable {
-		return p.runTraceParallel(tr)
-	}
 	en := hb.NewObs(p.cfg.Obs)
 	for i := range tr.Events {
 		e := &tr.Events[i]
@@ -755,82 +603,11 @@ func (p *Pipeline) RunTrace(tr *trace.Trace) error {
 	return p.Close()
 }
 
-// runTraceParallel is RunTrace's two-pass front end: the whole trace is
-// stamped as one chunk, and the per-shard index lists are built inside the
-// stamping workers themselves — each worker routes its freshly stamped
-// (cache-warm) span, so dispatch needs no pass of its own over the events.
-// Spans are pushed in ascending order, so each shard still sees its events
-// in trace order.
-func (p *Pipeline) runTraceParallel(tr *trace.Trace) error {
-	type span struct {
-		lo    int
-		lists [][]int32
-	}
-	var (
-		mu    sync.Mutex
-		spans []span
-	)
-	ps := hb.NewParallelStamperObs(p.cfg.StampWorkers, p.cfg.Obs)
-	n, serr := ps.StampChunkPost(tr.Events, func(lo, hi int) {
-		lists := make([][]int32, len(p.shards))
-		for i := lo; i < hi; i++ {
-			if r := p.routeOf(&tr.Events[i]); r != unroutable {
-				if lists[r] == nil {
-					lists[r] = p.getIdx()
-				}
-				lists[r] = append(lists[r], int32(i))
-			}
-		}
-		mu.Lock()
-		spans = append(spans, span{lo, lists})
-		mu.Unlock()
-	})
-	ps.Engine().VerifySnapshots()
-	slices.SortFunc(spans, func(a, b span) int { return a.lo - b.lo })
-	// The stamped valid prefix is dispatched either way, matching the
-	// serial loop's stop-at-first-error behavior.
-	refs := 0
-	for _, sp := range spans {
-		for _, idxs := range sp.lists {
-			if idxs != nil {
-				refs++
-			}
-		}
-	}
-	if refs > 0 {
-		c := &eventChunk{events: tr.Events[:n]}
-		c.refs.Store(int32(refs))
-		for _, sp := range spans {
-			for sh, idxs := range sp.lists {
-				if idxs == nil {
-					continue
-				}
-				p.push(sh, item{kind: itemChunk, chunk: c, idxs: idxs})
-				if buf := p.pending[sh]; buf != nil {
-					p.send(sh, buf)
-					p.pending[sh] = nil
-				}
-			}
-		}
-	}
-	if serr != nil {
-		p.Close()
-		return fmt.Errorf("pipeline: event %d (%s): %w", n, &tr.Events[n], serr)
-	}
-	return p.Close()
-}
-
 // RunSource stamps a streaming event source, feeds every event through the
 // shards, and closes the pipeline — the bounded-memory ingestion path: the
 // shard queues provide backpressure. Objects must already be registered.
-// Reports the identical race set as RunTrace over the same events. With
-// Config.StampWorkers >= 2 stamping runs on the chunked two-pass front end
-// (hb.ParallelStream): the skeleton pass of chunk N+1 overlaps body
-// stamping and zero-copy shard dispatch of chunk N.
+// Reports the identical race set as RunTrace over the same events.
 func (p *Pipeline) RunSource(src trace.Source) error {
-	if p.cfg.StampWorkers >= 2 && len(p.shards) <= unroutable {
-		return p.runSourceParallel(src)
-	}
 	st := hb.NewStreamObs(src, p.cfg.Obs)
 	for {
 		e, err := st.Next()
@@ -845,29 +622,5 @@ func (p *Pipeline) RunSource(src trace.Source) error {
 			p.Close()
 			return err
 		}
-	}
-}
-
-// runSourceParallel is RunSource's chunked two-pass front end. Chunk
-// buffers are recycled: the hb.Chunk is released when the last shard
-// finishes reading events out of it.
-func (p *Pipeline) runSourceParallel(src trace.Source) error {
-	st := hb.NewParallelStream(src, hb.ParallelStreamConfig{
-		Workers:   p.cfg.StampWorkers,
-		ChunkSize: p.cfg.StampChunk,
-		Route:     p.routeOf,
-		Obs:       p.cfg.Obs,
-	})
-	defer st.Close()
-	for {
-		c, err := st.NextChunk()
-		if err == io.EOF {
-			return p.Close()
-		}
-		if err != nil {
-			p.Close()
-			return fmt.Errorf("pipeline: %w", err)
-		}
-		p.dispatchChunk(c.Events, c.Routes, c.Release)
 	}
 }

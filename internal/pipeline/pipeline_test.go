@@ -290,3 +290,31 @@ func TestBottomCompactIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStampErrorKeepsPrefix: a stamping error (a receive with no pending
+// send) stops RunTrace and RunSource at a positioned error, after the
+// valid prefix was detected by the shards.
+func TestStampErrorKeepsPrefix(t *testing.T) {
+	tr := &trace.Trace{}
+	tr.Append(trace.Fork(0, 1))
+	tr.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
+	tr.Append(trace.Recv(1, 7)) // no pending send
+	tr.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
+
+	for _, mode := range []string{"trace", "source"} {
+		p := New(Config{Shards: 2})
+		p.Register(0, dictRep)
+		var err error
+		if mode == "trace" {
+			err = p.RunTrace(unstampedCopy(tr))
+		} else {
+			err = p.RunSource(unstampedCopy(tr).Source())
+		}
+		if err == nil || !strings.Contains(err.Error(), "event 2 (t1 recv c7)") {
+			t.Fatalf("%s: err = %v, want the position of the bad receive", mode, err)
+		}
+		if n := p.Stats().Actions; n != 1 {
+			t.Fatalf("%s: %d actions detected, want the 1 before the error", mode, n)
+		}
+	}
+}

@@ -2,7 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/hb"
 	"repro/internal/trace"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // cloneStampAll is the historical clone-per-event happens-before stamper
@@ -71,6 +75,17 @@ func cloneStampAll(tr *trace.Trace) error {
 		}
 	}
 	return nil
+}
+
+// unstampedCopy returns a private raw copy of the trace so each stamper
+// stamps its own events.
+func unstampedCopy(tr *trace.Trace) *trace.Trace {
+	ev := make([]trace.Event, len(tr.Events))
+	copy(ev, tr.Events)
+	for i := range ev {
+		ev[i].Clock = nil
+	}
+	return &trace.Trace{Events: ev}
 }
 
 // detectStamped runs a serial detector over an already-stamped trace
@@ -153,5 +168,65 @@ func TestDifferentialSnapshotVsCloneStamping(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCorpusStampingByteIdentical holds the three stampers to one another
+// over every trace in examples/traces (text and binary formats): the
+// batch stamper hb.StampAll, the incremental hb.Stream (the rd2d ingest
+// front end), and the clone-per-event reference must produce equal clocks
+// on every event.
+func TestCorpusStampingByteIdentical(t *testing.T) {
+	dir := filepath.Join("..", "..", "examples", "traces")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ent := range entries {
+		if ent.IsDir() {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := wire.ParseAny(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("parsing %s: %v", ent.Name(), err)
+		}
+		n++
+
+		ref := unstampedCopy(tr)
+		if err := cloneStampAll(ref); err != nil {
+			t.Fatalf("%s: clone reference: %v", ent.Name(), err)
+		}
+		batch := unstampedCopy(tr)
+		if err := hb.StampAll(batch); err != nil {
+			t.Fatalf("%s: StampAll: %v", ent.Name(), err)
+		}
+		st := hb.NewStream(unstampedCopy(tr).Source())
+		for i := range ref.Events {
+			e, err := st.Next()
+			if err != nil {
+				t.Fatalf("%s: Stream ended after %d of %d events: %v", ent.Name(), i, len(ref.Events), err)
+			}
+			want := ref.Events[i].Clock
+			if got := batch.Events[i].Clock; !slices.Equal(got, want) {
+				t.Fatalf("%s event %d (%s): StampAll clock %s, reference %s",
+					ent.Name(), i, ref.Events[i].String(), got, want)
+			}
+			if !slices.Equal(e.Clock, want) {
+				t.Fatalf("%s event %d (%s): Stream clock %s, reference %s",
+					ent.Name(), i, ref.Events[i].String(), e.Clock, want)
+			}
+		}
+		if _, err := st.Next(); err != io.EOF {
+			t.Fatalf("%s: Stream after last event: %v, want EOF", ent.Name(), err)
+		}
+	}
+	if n == 0 {
+		t.Fatal("empty trace corpus")
 	}
 }
