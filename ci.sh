@@ -38,13 +38,14 @@
 #   -chaos-only   run only the fault-tolerance smoke (used by `make chaos-smoke`).
 #   -fleet        additionally run the fleet-scheduling smoke: the fleet test
 #                 suite (differential, admission, chaos, starvation) under
-#                 -race and again under -tags=clockcheck, then live binaries:
-#                 a fleet-vs-perconn differential streaming the whole
-#                 examples/traces corpus through both daemon modes and
-#                 requiring byte-identical JSONL verdicts, and a fairness
-#                 smoke where a quota-compliant background tenant must keep
-#                 >= 80% of its isolated ingest rate while a hot tenant
-#                 saturates the shared worker pool.
+#                 -race and again under -tags=clockcheck, the whole rd2d
+#                 suite under -race at GOMAXPROCS=4 three times, then live
+#                 binaries: each daemon mode (per-conn and -fleet) streams
+#                 the whole examples/traces corpus and its JSONL verdicts
+#                 must be byte-identical to offline rd2 -report, and a
+#                 fairness smoke where a quota-compliant background tenant
+#                 must keep >= 80% of its isolated ingest rate while a hot
+#                 tenant saturates the shared worker pool.
 #   -fleet-only   run only the fleet-scheduling smoke (used by `make fleet-smoke`).
 #   -durable      additionally run the durable-session smoke: the
 #                 crash/restart differential tests under -race (in-process
@@ -408,12 +409,13 @@ if [ "$FLEET" = 1 ]; then
     echo "== fleet: scheduler + daemon tests (-race) =="
     go test -race -timeout 180s ./internal/fleet
     go test -race -timeout 300s -run 'TestFleet|TestMaxSessionsCap' ./cmd/rd2d
+    GOMAXPROCS=4 go test -race -count=3 -timeout 600s ./cmd/rd2d
 
     echo "== fleet: differential + chaos under -tags=clockcheck (poisoned snapshots) =="
     go test -tags=clockcheck -count=1 -timeout 300s \
         -run 'TestFleetDifferentialCorpus|TestFleetMultiTenantChaos' ./cmd/rd2d
 
-    echo "== fleet: live fleet-vs-perconn differential over examples/traces =="
+    echo "== fleet: live daemon-vs-offline differential over examples/traces, both modes =="
     FLEETTMP=$(mktemp -d)
     FLEETPID=""
     HOTPIDS=""
@@ -430,10 +432,21 @@ if [ "$FLEET" = 1 ]; then
     go build -o "$FLEETTMP/rd2" ./cmd/rd2
     go build -o "$FLEETTMP/rd2d" ./cmd/rd2d
 
-    # Stream the whole corpus through both daemon modes; after stripping the
-    # daemon-assigned session id and seq, the JSONL verdicts must be
-    # byte-identical. -compact-every 0 on both sides so point-clock
-    # renderings cannot drift with compaction timing.
+    # Offline reference: rd2 -report over every corpus trace (exit 1 = races).
+    : > "$FLEETTMP/off.jsonl"
+    for tracefile in examples/traces/*; do
+        rc=0
+        "$FLEETTMP/rd2" -trace "$tracefile" -q -report "$FLEETTMP/one.jsonl" || rc=$?
+        [ "$rc" -le 1 ] || { echo "fleet smoke: offline rd2 $tracefile rc $rc" >&2; exit 1; }
+        cat "$FLEETTMP/one.jsonl" >> "$FLEETTMP/off.jsonl"
+    done
+    sort "$FLEETTMP/off.jsonl" > "$FLEETTMP/off.sorted"
+    [ -s "$FLEETTMP/off.sorted" ] || { echo "fleet smoke: corpus produced no race records" >&2; exit 1; }
+
+    # Stream the whole corpus through each daemon mode; after the same
+    # session/seq strip and sort as the wire smoke, the JSONL verdicts must
+    # be byte-identical to offline. -compact-every 0 keeps point-clock
+    # renderings identical to the offline run.
     for mode in perconn fleet; do
         if [ "$mode" = fleet ]; then
             MODEFLAGS="-fleet -fleet-workers 2 -max-sessions 64"
@@ -461,14 +474,13 @@ if [ "$FLEET" = 1 ]; then
         [ "$rc" -le 1 ] || { echo "fleet smoke ($mode): rd2d rc $rc" >&2; cat "$FLEETTMP/$mode.log" >&2; exit 1; }
         sed 's/^{"session":"[^"]*","seq":[0-9]*,/{/' "$FLEETTMP/$mode.jsonl" \
             | sort > "$FLEETTMP/$mode.sorted"
+        if ! diff -q "$FLEETTMP/off.sorted" "$FLEETTMP/$mode.sorted" > /dev/null; then
+            echo "fleet smoke ($mode): daemon verdicts differ from offline rd2" >&2
+            diff "$FLEETTMP/off.sorted" "$FLEETTMP/$mode.sorted" | head >&2
+            exit 1
+        fi
+        echo "fleet smoke ($mode): $(wc -l < "$FLEETTMP/$mode.sorted") verdicts byte-identical to offline rd2"
     done
-    if ! diff -q "$FLEETTMP/perconn.sorted" "$FLEETTMP/fleet.sorted" > /dev/null; then
-        echo "fleet smoke: fleet-mode verdicts differ from per-conn verdicts" >&2
-        diff "$FLEETTMP/perconn.sorted" "$FLEETTMP/fleet.sorted" | head >&2
-        exit 1
-    fi
-    [ -s "$FLEETTMP/fleet.sorted" ] || { echo "fleet smoke: corpus produced no race records" >&2; exit 1; }
-    echo "fleet smoke: $(wc -l < "$FLEETTMP/fleet.sorted") verdicts byte-identical across modes"
 
     echo "== fleet: fairness smoke (hot tenant vs quota-compliant background tenant) =="
     # The background tenant is paced by its own 5000 events/s token bucket;

@@ -66,9 +66,12 @@ type daemonConfig struct {
 	fsyncMode  int               // fsyncOff | fsyncCkpt | fsyncAlways
 	reportSeqs map[string]uint64 // per-session durable JSONL seq from a prior life
 
-	// Fleet scheduling (DESIGN.md §14). maxSessions and the quota fields
-	// are enforced even with fleet off — the scheduler always exists and
-	// gates admission; only the shared worker pool is opt-in.
+	// Fleet scheduling (DESIGN.md §14). maxSessions, globalRate and the
+	// events/burst/sessions quota fields are enforced even with fleet off —
+	// the scheduler always exists and gates admission; only the shared
+	// worker pool is opt-in. The arena quota needs it: only fleet sessions
+	// own a serial detector whose arena can be read between quanta, so
+	// rd2d refuses arena= without -fleet.
 	fleet        bool                   // run sessions on the shared worker pool
 	fleetWorkers int                    // pool size; 0 = GOMAXPROCS
 	maxSessions  int                    // resident session cap; 0 = unbounded
@@ -82,8 +85,9 @@ type daemonConfig struct {
 const DefaultWriteTimeout = 5 * time.Second
 
 // daemon accepts wire streams over TCP and runs detection sessions:
-// incremental happens-before stamping feeding the sharded pipeline, races
-// streamed to the shared JSONL reporter as found. Plain streams are one
+// incremental happens-before stamping feeding a detector (the sharded
+// pipeline, or one serial detector per -fleet session), races streamed to
+// the shared JSONL reporter as found. Plain streams are one
 // session per connection; hello-framed streams open resumable sessions
 // that survive connection loss (see session.go).
 type daemon struct {
@@ -610,15 +614,18 @@ func (d *daemon) rejectBusy(conn net.Conn, sid, tenant string, cause error) {
 // event is charged to the tenant's throttle before it is enqueued: an
 // over-quota tenant stalls right here, in its own connection's read
 // loop, and TCP flow control pushes back on exactly that producer. In
-// fleet mode the enqueue also wakes the session's run-queue entry.
+// fleet mode the enqueue also wakes the session's run-queue entry. The
+// decoder figures /sessions shows are published at every frame and at the
+// end, because the decoder itself belongs to this loop.
 func (d *daemon) readLoop(s *session, dec *wire.Decoder, th *fleet.Throttle) error {
 	lastFrames := dec.Frames()
 	for {
 		start := s.ob.decode.Start()
 		e, err := dec.Next()
-		if f := dec.Frames(); f > lastFrames {
+		if f := dec.Frames(); f > lastFrames || err != nil {
 			s.ob.frames.Add(uint64(f - lastFrames))
 			lastFrames = f
+			s.publishDecoder(dec)
 		}
 		if err != nil {
 			return err

@@ -20,14 +20,15 @@ package main
 //              loader falls back to replaying the WAL from byte zero.
 //
 // Recovery replays the WAL tail from the snapshot's frame offset through
-// the ordinary decode → queue → worker path, with the JSONL reporter's
-// suppression window (core.SessionReporter.Restore) making regenerated
-// race records silent up to the report file's durable high-water mark.
+// the ordinary decode → queue → session runner path, with the JSONL
+// reporter's suppression window (core.SessionReporter.Restore) making
+// regenerated race records silent up to the report file's durable
+// high-water mark.
 // Verdicts after a crash+restart are byte-identical to the uninterrupted
 // run because replay *is* the run: same bytes, same decoder state, same
 // engine clocks, same detector state.
 //
-// Checkpoints happen only on the session worker (or fleet quantum) at
+// Checkpoints happen only in the session runner's per-event step, at
 // frame boundaries the decoder hook published, so the snapshot's three
 // states agree on a single stream position. fsync policy is -fsync
 // off|ckpt|always: the page cache survives a process SIGKILL, so even
@@ -104,9 +105,9 @@ type boundary struct {
 }
 
 // durSession is one session's persistent state: the open WAL and the FIFO
-// of frame boundaries the worker may checkpoint at. The hook side (WAL
+// of frame boundaries the runner may checkpoint at. The hook side (WAL
 // append, boundary publish) runs on the connection read loop; the
-// checkpoint side (boundary take, snapshot) runs on the session worker;
+// checkpoint side (boundary take, snapshot) runs in the session runner;
 // mu covers the shared fields.
 type durSession struct {
 	d     *daemon
@@ -121,10 +122,10 @@ type durSession struct {
 	bounds   []boundary
 	walErr   error
 	buf      []byte // frame re-encode scratch (hook side only)
-	lastCkpt int    // events at the last snapshot (worker + rehydrator)
+	lastCkpt int    // events at the last snapshot (runner + rehydrator)
 	force    bool   // replayed a WAL tail: snapshot at the next boundary
 
-	// Worker-side only.
+	// Runner-side only.
 	ckptErr error // first snapshot failure; disables further snapshots
 	ckpts   int
 }
@@ -227,7 +228,7 @@ func (ds *durSession) hook(dec *wire.Decoder) func(byte, []byte) error {
 	}
 }
 
-// takeBoundary resolves the worker's position against the published
+// takeBoundary resolves the runner's position against the published
 // boundaries: boundaries strictly behind events are dropped (missed
 // checkpoint opportunities — never incorrect), and when the cadence (or a
 // post-replay force) makes a snapshot due, the latest boundary exactly at
@@ -302,8 +303,8 @@ type snapMeta struct {
 
 // maybeCheckpoint snapshots the session at the current position when a
 // published boundary lands exactly here and the cadence (or a post-replay
-// force) says it is due. Called by the worker (per-conn or fleet) before
-// processing each event, so the engine has stamped exactly the events the
+// force) says it is due. Called by the runner's step before processing
+// each event, so the engine has stamped exactly the events the
 // boundary covers. A degraded or failed session is never checkpointed —
 // partial state must not shadow the honest WAL.
 func (s *session) maybeCheckpoint() {
@@ -329,19 +330,13 @@ func (s *session) maybeCheckpoint() {
 func (s *session) checkpoint(b boundary) error {
 	ds := s.dur
 	start := time.Now()
-	var det *core.DetectorState
-	var err error
-	if s.p != nil {
-		det, err = s.p.ExportState()
-		if err != nil {
-			return err
-		}
-	} else {
-		det = s.runner.det.ExportState()
+	det, err := s.det.Export()
+	if err != nil {
+		return err
 	}
 	en := s.en.ExportState()
-	// Reporter seq after the export barrier: every race from events <= b.cum
-	// has been written (pipeline OnRace runs on shard goroutines; the
+	// Reporter seq after the export: every race from events <= b.cum has
+	// been written (pipeline OnRace runs on shard goroutines; its export
 	// barrier is the quiesce point). The JSONL file is written unbuffered,
 	// so its on-disk high-water mark is always >= any snapshot's seq.
 	var rseq uint64
@@ -739,8 +734,8 @@ func getAction(sr *wire.StateReader) trace.Action {
 // --- Restore ---------------------------------------------------------------
 
 // sessionRestore carries a rehydrated session's checkpointed state into
-// newSession and the worker. A genesis restore (no usable snapshot) has
-// nil hb/det and zero meta except identity: the WAL replays from byte 0.
+// newSession. A genesis restore (no usable snapshot) has nil hb/det and
+// zero meta except identity: the WAL replays from byte 0.
 type sessionRestore struct {
 	meta       snapMeta
 	hb         *hb.EngineState
@@ -749,13 +744,12 @@ type sessionRestore struct {
 	dur        *durSession
 }
 
-// applyRestore imports the checkpointed detection state into the worker's
-// fresh engine and detector/pipeline. Runs on the goroutine that owns them
-// (session worker or startFleet), before any event is processed. A restore
-// failure poisons the session (procErr) rather than silently analyzing
-// from the wrong state.
-func (s *session) applyRestore() {
-	r := s.restore
+// applyRestore imports the checkpointed detection state into the session's
+// fresh engine and detector. newSession runs it before starting the
+// runner's driver, so before any event is processed. A restore failure
+// poisons the session (procErr) rather than silently analyzing from the
+// wrong state.
+func (s *session) applyRestore(r *sessionRestore) {
 	if r == nil || r.hb == nil {
 		return
 	}
@@ -774,16 +768,9 @@ func (s *session) applyRestore() {
 		}
 		return rep, nil
 	}
-	if s.p != nil {
-		if err := s.p.ImportState(r.det, repFor); err != nil {
-			fail(err)
-			return
-		}
-	} else {
-		if err := s.runner.det.ImportState(r.det, repFor); err != nil {
-			fail(err)
-			return
-		}
+	if err := s.det.ImportState(r.det, repFor); err != nil {
+		fail(err)
+		return
 	}
 	for _, obj := range r.meta.Registered {
 		s.registered[obj] = true
@@ -794,7 +781,7 @@ func (s *session) applyRestore() {
 // rehydrate loads every checkpointed session from the state dir into the
 // parked-session table, before the daemon starts serving: expired state is
 // garbage-collected, snapshots are validated (CRC) and fall back to
-// genesis WAL replay, WAL tails are replayed through the ordinary worker
+// genesis WAL replay, WAL tails are replayed through the ordinary runner
 // path, and torn tail frames are truncated (the client never saw their
 // ack, so it replays them on resume).
 func (d *daemon) rehydrate() {
@@ -903,8 +890,8 @@ func (d *daemon) rehydrateOne(dir string) {
 		return
 	}
 
-	// lastCkpt is primed before the worker starts: replay republishes
-	// boundaries and the worker may legitimately checkpoint mid-replay once
+	// lastCkpt is primed before the runner starts: replay republishes
+	// boundaries and the runner may legitimately checkpoint mid-replay once
 	// the cadence from the snapshot's position says so.
 	ds := &durSession{d: d, sid: sid, dir: dir, every: d.ckptEvery(), fsync: d.cfg.fsyncMode,
 		lastCkpt: restore.meta.Events}
@@ -931,11 +918,14 @@ func (d *daemon) rehydrateOne(dir string) {
 	}
 	if tail {
 		// A replayed tail means the snapshot is stale; refresh at the next
-		// boundary. (The worker is already live — lastCkpt/force are shared.)
+		// boundary. (The runner is already live — lastCkpt/force are shared.)
 		ds.force = true
 	}
 	ds.mu.Unlock()
 
+	if dec != nil {
+		s.publishDecoder(dec)
+	}
 	s.mu.Lock()
 	s.dec = dec // resume connections adopt interning/chunk state from here
 	s.resumes = restore.meta.Resumes
@@ -946,7 +936,7 @@ func (d *daemon) rehydrateOne(dir string) {
 }
 
 // replayWAL feeds the WAL's events through the session's ordinary
-// queue/worker path: from the snapshot's frame offset with a resumed
+// queue/runner path: from the snapshot's frame offset with a resumed
 // decoder, or from byte zero (genesis). Returns the decoder holding the
 // final stream state, and whether any frames beyond the snapshot were
 // replayed. A torn or corrupt tail is truncated at the last fully

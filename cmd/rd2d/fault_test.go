@@ -60,66 +60,69 @@ func requirePanicLines(t *testing.T, logs string, tr *trace.Trace, panicAt, want
 	}
 }
 
-// TestDaemonSurvivesWorkerPanic arms the session-worker panic injector. The
-// session must finish with a degraded (partial but honest) summary, the
-// daemon must keep serving, and the recovery log line must name the exact
-// event the worker panicked on.
+// runnerModes are the two ways rd2d drives a session runner: a dedicated
+// goroutine over the sharded pipeline (per-conn), and quanta on the shared
+// worker pool over one serial detector (-fleet).
+var runnerModes = []struct {
+	name string
+	cfg  func(*daemonConfig)
+}{
+	{"perconn", func(*daemonConfig) {}},
+	{"fleet", func(c *daemonConfig) { c.fleet, c.fleetWorkers = true, 2 }},
+}
+
+// TestDaemonSurvivesWorkerPanic arms the runner panic injector in both
+// modes. The session must finish with a degraded (partial but honest)
+// summary with the runner counted as a failed unit, the daemon (and in
+// fleet mode the shared worker pool) must keep serving, shutdown must stay
+// clean, and the recovery log line must name the exact event the runner
+// panicked on.
 func TestDaemonSurvivesWorkerPanic(t *testing.T) {
 	tr, _ := racyTrace(t)
 	const panicAt = 10
-	var logs logBuffer
-	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		c.injectWorkerPanic = panicAt
-		c.logger = log.New(&logs, "", 0)
-	})
+	for _, m := range runnerModes {
+		t.Run(m.name, func(t *testing.T) {
+			var logs logBuffer
+			d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
+				m.cfg(c)
+				c.injectWorkerPanic = panicAt
+				c.logger = log.New(&logs, "", 0)
+			})
 
-	cl, err := wire.Dial(d.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.SendSource(tr.Source()); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := cl.Close(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.Degraded {
-		t.Fatalf("worker panic not marked degraded: %+v", sum)
-	}
-	if sum.ShardPanics < 1 {
-		t.Fatalf("summary shard_panics = %d, want >= 1", sum.ShardPanics)
-	}
-	if sum.Events == 0 || sum.Events >= tr.Len() {
-		t.Fatalf("degraded session analyzed %d events, want partial (0 < n < %d)",
-			sum.Events, tr.Len())
-	}
+			sum := streamOnce(t, d, tr, "acme")
+			if !sum.Degraded {
+				t.Fatalf("worker panic not marked degraded: %+v", sum)
+			}
+			if sum.ShardPanics < 1 {
+				t.Fatalf("summary shard_panics = %d, want >= 1 (the runner)", sum.ShardPanics)
+			}
+			if sum.Events == 0 || sum.Events >= tr.Len() {
+				t.Fatalf("degraded session analyzed %d events, want partial (0 < n < %d)",
+					sum.Events, tr.Len())
+			}
 
-	// The daemon survived: a second session still gets a summary (it is
-	// degraded too — the injector is armed per session — but delivered).
-	cl, err = wire.Dial(d.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.SendSource(tr.Source()); err != nil {
-		t.Fatal(err)
-	}
-	if sum, err = cl.Close(10 * time.Second); err != nil || !sum.Degraded {
-		t.Fatalf("second session after panic: err=%v sum=%+v", err, sum)
-	}
+			// The daemon survived: a second session still gets a summary (it
+			// is degraded too — the injector is armed per session — but
+			// delivered).
+			sum = streamOnce(t, d, tr, "acme")
+			if !sum.Degraded || sum.ShardPanics < 1 {
+				t.Fatalf("second session after panic: %+v", sum)
+			}
 
-	d.Shutdown()
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
+			d.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			if got := d.degraded.Load(); got != 2 {
+				t.Fatalf("daemon degraded counter = %d, want 2", got)
+			}
+			requirePanicLines(t, logs.String(), tr, panicAt, 2)
+		})
 	}
-	if got := d.degraded.Load(); got != 2 {
-		t.Fatalf("daemon degraded counter = %d, want 2", got)
-	}
-	requirePanicLines(t, logs.String(), tr, panicAt, 2)
 }
 
 // TestDaemonStampErrorPositioned streams a malformed trace (a receive with
-// no pending send) into the per-conn and the fleet worker. Both must fail
+// no pending send) into the per-conn and the fleet runner. Both must fail
 // the session with the same positioned error and count every event.
 func TestDaemonStampErrorPositioned(t *testing.T) {
 	bad := &trace.Trace{}
@@ -189,36 +192,32 @@ func TestDaemonParksOnConnectionReset(t *testing.T) {
 }
 
 // TestDaemonSurvivesRepPanic arms the shared rep-panic countdown: some Touch
-// call deep in the detection path panics. The supervisor must recover it,
-// mark the session degraded, and deliver the summary.
+// call deep in the detection path panics — on a pipeline shard per-conn,
+// in the runner itself with -fleet. The supervisor must recover it, mark
+// the session degraded, and deliver the summary.
 func TestDaemonSurvivesRepPanic(t *testing.T) {
 	tr, wantRaces := racyTrace(t)
-	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		c.injectRepPanic = 25
-	})
+	for _, m := range runnerModes {
+		t.Run(m.name, func(t *testing.T) {
+			d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
+				m.cfg(c)
+				c.injectRepPanic = 25
+			})
 
-	cl, err := wire.Dial(d.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.SendSource(tr.Source()); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := cl.Close(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.Degraded || sum.ShardPanics < 1 {
-		t.Fatalf("rep panic summary = %+v, want degraded with shard_panics >= 1", sum)
-	}
-	// Partial but honest: no invented races.
-	if sum.Races > wantRaces {
-		t.Fatalf("degraded session invented races: %d > offline %d", sum.Races, wantRaces)
-	}
+			sum := streamOnce(t, d, tr, "")
+			if !sum.Degraded || sum.ShardPanics < 1 {
+				t.Fatalf("rep panic summary = %+v, want degraded with shard_panics >= 1", sum)
+			}
+			// Partial but honest: no invented races.
+			if sum.Races > wantRaces {
+				t.Fatalf("degraded session invented races: %d > offline %d", sum.Races, wantRaces)
+			}
 
-	d.Shutdown()
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
+			d.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+		})
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"math/rand"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sort"
 	"strings"
@@ -56,11 +56,13 @@ func streamOnce(t *testing.T, d *daemon, tr *trace.Trace, tenant string) wire.Su
 	return sum
 }
 
-// TestFleetDifferentialCorpus is the fleet-vs-perconn oracle: every corpus
-// trace must produce the identical summary and the identical JSONL race set
-// whether it runs on a dedicated pipeline or on the shared worker pool.
-// Compaction is disabled on both sides so reported point clocks render
-// byte-identically regardless of when a worker got around to compacting.
+// TestFleetDifferentialCorpus is the daemon-vs-offline oracle for both
+// runner modes: every corpus trace streamed through a per-conn session and
+// through a fleet session must produce a clean summary with the offline
+// race count and, once the daemon-stamped session id and seq are stripped,
+// the JSONL race records of an in-process serial core.Detector byte for
+// byte. Compaction is disabled so reported point clocks render exactly as
+// offline (compaction trims dead-thread clock entries).
 func TestFleetDifferentialCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "traces", "*"))
 	if err != nil || len(files) == 0 {
@@ -74,47 +76,83 @@ func TestFleetDifferentialCorpus(t *testing.T) {
 			if tr.Len() == 0 {
 				t.Skip("empty trace")
 			}
-
-			run := func(fleetMode bool) (wire.Summary, []string) {
-				var report bytes.Buffer
-				d, done := testDaemonCfg(t, &report, func(c *daemonConfig) {
-					c.compactOps = 0
-					if fleetMode {
-						c.fleet = true
-						c.fleetWorkers = 2
+			wantRaces, wantLines := offlineRaceLines(t, loadCorpusTrace(t, path))
+			for _, m := range runnerModes {
+				t.Run(m.name, func(t *testing.T) {
+					var report bytes.Buffer
+					d, done := testDaemonCfg(t, &report, func(c *daemonConfig) {
+						m.cfg(c)
+						c.compactOps = 0
+					})
+					sum := streamOnce(t, d, tr, "")
+					d.Shutdown()
+					if err := <-done; err != nil {
+						t.Fatalf("Serve: %v", err)
+					}
+					if sum.Error != "" || !sum.Clean || sum.Events != tr.Len() {
+						t.Fatalf("summary %+v, want clean over %d events", sum, tr.Len())
+					}
+					if sum.Races != wantRaces {
+						t.Fatalf("daemon found %d races, offline %d", sum.Races, wantRaces)
+					}
+					raceLines(t, &report) // session ids and dense seqs
+					got := strippedRaceLines(report.String())
+					if len(got) != len(wantLines) {
+						t.Fatalf("daemon wrote %d race records, offline %d", len(got), len(wantLines))
+					}
+					for i := range got {
+						if got[i] != wantLines[i] {
+							t.Fatalf("race record %d differs:\n  daemon:  %s\n  offline: %s",
+								i, got[i], wantLines[i])
+						}
 					}
 				})
-				sum := streamOnce(t, d, tr, "")
-				d.Shutdown()
-				if err := <-done; err != nil {
-					t.Fatalf("Serve: %v", err)
-				}
-				return sum, raceLines(t, &report)
-			}
-
-			baseSum, baseRaces := run(false)
-			fleetSum, fleetRaces := run(true)
-
-			if baseSum.Error != "" || !baseSum.Clean || baseSum.Events != tr.Len() {
-				t.Fatalf("per-conn summary %+v, want clean over %d events", baseSum, tr.Len())
-			}
-			if fleetSum.Error != "" || !fleetSum.Clean || fleetSum.Events != tr.Len() {
-				t.Fatalf("fleet summary %+v, want clean over %d events", fleetSum, tr.Len())
-			}
-			if fleetSum.Races != baseSum.Races {
-				t.Fatalf("fleet found %d races, per-conn found %d", fleetSum.Races, baseSum.Races)
-			}
-			if len(fleetRaces) != len(baseRaces) {
-				t.Fatalf("fleet wrote %d race records, per-conn %d", len(fleetRaces), len(baseRaces))
-			}
-			for i := range fleetRaces {
-				if fleetRaces[i] != baseRaces[i] {
-					t.Fatalf("race record %d differs:\n  fleet:    %s\n  per-conn: %s",
-						i, fleetRaces[i], baseRaces[i])
-				}
 			}
 		})
 	}
+}
+
+// offlineRaceLines runs tr through one serial core.Detector under the dict
+// spec, as offline rd2 does, and returns its race count and sorted JSONL
+// race records.
+func offlineRaceLines(t *testing.T, tr *trace.Trace) (int, []string) {
+	t.Helper()
+	rep, err := specs.Rep("dict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report bytes.Buffer
+	rw := core.NewReportWriter(&report)
+	det := core.New(core.Config{Engine: core.EngineBounded, MaxRaces: 100,
+		OnRace: func(r core.Race) { rw.Write(r, "dict") }})
+	for _, e := range tr.Events {
+		if e.Kind == trace.ActionEvent {
+			det.Register(e.Act.Obj, rep)
+		}
+	}
+	if err := det.RunTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	return det.Stats().Races, strippedRaceLines(report.String())
+}
+
+// sessionSeqPrefix is the session id and seq the daemon stamps ahead of
+// every race record (the same strip as the ci.sh wire smoke).
+var sessionSeqPrefix = regexp.MustCompile(`^\{"session":"[^"]*","seq":[0-9]*,`)
+
+// strippedRaceLines returns the sorted race records of a JSONL report with
+// the session/seq prefix cut, leaving the rest of each line untouched.
+// Notes are dropped.
+func strippedRaceLines(report string) []string {
+	var out []string
+	for _, line := range strings.Split(report, "\n") {
+		if line == "" || strings.HasPrefix(line, `{"note":`) {
+			continue
+		}
+		out = append(out, sessionSeqPrefix.ReplaceAllString(line, "{"))
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestMaxSessionsCapWithoutFleet checks the -max-sessions hard cap with
@@ -590,50 +628,4 @@ func TestFleetTenantSurfaces(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-}
-
-// TestFleetSurvivesInjectedWorkerPanic arms the worker panic injector with
-// the fleet scheduler on: the quantum's recover must degrade the session
-// (partial but honest summary, the runner counted as a failed unit), the
-// shared worker pool must keep serving other sessions, and shutdown must
-// stay clean — one poisoned session cannot take down the fleet. The
-// recovery log line must name the exact event the quantum panicked on.
-func TestFleetSurvivesInjectedWorkerPanic(t *testing.T) {
-	tr, _ := racyTrace(t)
-	const panicAt = 10
-	var logs logBuffer
-	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
-		c.fleet = true
-		c.fleetWorkers = 2
-		c.injectWorkerPanic = panicAt
-		c.logger = log.New(&logs, "", 0)
-	})
-
-	sum := streamOnce(t, d, tr, "acme")
-	if !sum.Degraded {
-		t.Fatalf("fleet worker panic not marked degraded: %+v", sum)
-	}
-	if sum.ShardPanics < 1 {
-		t.Fatalf("summary shard_panics = %d, want >= 1 (the runner)", sum.ShardPanics)
-	}
-	if sum.Events == 0 || sum.Events >= tr.Len() {
-		t.Fatalf("degraded fleet session analyzed %d events, want partial (0 < n < %d)",
-			sum.Events, tr.Len())
-	}
-
-	// The pool survived: a second session (degraded too — the injector is
-	// armed per session) still gets its summary through the same workers.
-	sum = streamOnce(t, d, tr, "acme")
-	if !sum.Degraded || sum.ShardPanics < 1 {
-		t.Fatalf("second fleet session after panic: %+v", sum)
-	}
-
-	d.Shutdown()
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	if got := d.degraded.Load(); got != 2 {
-		t.Fatalf("daemon degraded counter = %d, want 2", got)
-	}
-	requirePanicLines(t, logs.String(), tr, panicAt, 2)
 }

@@ -2,7 +2,8 @@
 // streaming counterpart of cmd/rd2. It listens on TCP for RDB2 binary
 // trace streams (internal/wire), runs one detection session per
 // connection — incremental happens-before stamping feeding the sharded
-// detection pipeline — and reports races as they are found, while the
+// detection pipeline, or with -fleet one serial detector per session on a
+// shared worker pool — and reports races as they are found, while the
 // monitored program is still running.
 //
 //	rd2d -listen 127.0.0.1:7029 -spec dict -report races.jsonl -http :6060
@@ -74,7 +75,7 @@ func run(args []string) int {
 	maxSessions := fs.Int("max-sessions", 0, "reject new sessions beyond this resident count with a retryable busy summary (0 = unbounded; enforced with or without -fleet)")
 	globalRate := fs.Float64("global-events-per-sec", 0, "daemon-wide ingest budget; resident sessions overdraft it, but new sessions are rejected busy while it is overdrawn (0 = unlimited)")
 	tenantQuota := fs.String("tenant-quota", "",
-		"per-tenant quotas: 'name:events=5000,burst=500,sessions=4,arena=64MB;...' (name 'default' sets the quota for unlisted tenants)")
+		"per-tenant quotas: 'name:events=5000,burst=500,sessions=4,arena=64MB;...' (name 'default' sets the quota for unlisted tenants; arena requires -fleet)")
 	reportPath := fs.String("report", "", "stream structured race records (JSON Lines) to this file")
 	httpAddr := fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (enables metrics)")
 	statsInterval := fs.Duration("stats-interval", 0, "emit a metrics snapshot to stderr at this interval (enables metrics)")
@@ -112,6 +113,12 @@ func run(args []string) int {
 		}
 		cfg.defaultQuota = def
 		cfg.tenantQuotas = quotas
+		if !*fleetMode && hasArenaQuota(def, quotas) {
+			// Only a fleet session's serial detector can report its arena
+			// between quanta; per-conn shards own theirs on other goroutines.
+			logger.Printf("-tenant-quota arena= is enforced only with -fleet")
+			return 2
+		}
 	}
 	if *quiet {
 		cfg.logger = nil
@@ -306,6 +313,19 @@ func parseTenantQuotas(spec string) (def fleet.Quota, quotas map[string]fleet.Qu
 		}
 	}
 	return def, quotas, nil
+}
+
+// hasArenaQuota reports whether any parsed quota caps arena bytes.
+func hasArenaQuota(def fleet.Quota, quotas map[string]fleet.Quota) bool {
+	if def.MaxArenaBytes > 0 {
+		return true
+	}
+	for _, q := range quotas {
+		if q.MaxArenaBytes > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // parseBytes parses a byte count with an optional K/M/G (or KB/MB/GB)

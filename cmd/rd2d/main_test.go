@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -426,5 +429,86 @@ func TestDaemonRejectsGarbage(t *testing.T) {
 	}
 	if got := d.failed.Load(); got != 1 {
 		t.Fatalf("failed sessions = %d, want 1", got)
+	}
+}
+
+// TestSessionInfosWhileStreaming polls /sessions rows while a resumable
+// session streams. The read loop owns its decoder, so info must see only
+// the figures the loop publishes: under -race an unsynchronized read of
+// the decoder fails this test. The published figures must also only grow.
+func TestSessionInfosWhileStreaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := trace.Generate(rng, trace.GenConfig{
+		Threads: 4, Objects: 4, Keys: 8, Vals: 4, Locks: 2,
+		OpsMin: 2000, OpsMax: 3000, PSize: 15, PGet: 35, PLocked: 30, PRemove: 25,
+	})
+	d, done := testDaemon(t, nil)
+
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		attached, lastEvents, lastAcked := 0, 0, uint64(0)
+		for {
+			select {
+			case <-stop:
+				polled <- attached
+				return
+			default:
+			}
+			for _, in := range d.sessionInfos() {
+				if in.State != "attached" {
+					continue
+				}
+				attached++
+				if in.Events < lastEvents || in.AckedSeq < lastAcked {
+					t.Errorf("/sessions went backwards: events %d -> %d, acked %d -> %d",
+						lastEvents, in.Events, lastAcked, in.AckedSeq)
+				}
+				lastEvents, lastAcked = in.Events, in.AckedSeq
+			}
+		}
+	}()
+
+	cl, err := wire.DialSession(d.Addr(), "polled", 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetFrameSize(256)
+	if err := cl.SendSource(tr.Source()); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := cl.Close(15 * time.Second)
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Fatal("no /sessions poll saw the session attached")
+	}
+	if err != nil || sum.Error != "" || sum.Events != tr.Len() {
+		t.Fatalf("summary %+v (err %v), want %d events", sum, err, tr.Len())
+	}
+	d.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestArenaQuotaRequiresFleet: only fleet sessions can report their
+// detector arena, so an arena quota without -fleet must fail at startup
+// (exit 2, naming -fleet) instead of being silently unenforced.
+func TestArenaQuotaRequiresFleet(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	rc := run([]string{"-listen", "127.0.0.1:0", "-tenant-quota", "acme:events=100,arena=64MB"})
+	os.Stderr = stderr
+	w.Close()
+	msg, _ := io.ReadAll(r)
+	if rc != 2 {
+		t.Fatalf("rd2d exited %d, want 2; stderr:\n%s", rc, msg)
+	}
+	if !strings.Contains(string(msg), "-fleet") {
+		t.Fatalf("startup error does not name -fleet:\n%s", msg)
 	}
 }

@@ -5,7 +5,8 @@ package main
 // registry, and the test checks the operator's view — /sessions rows with
 // disjoint per-session figures, all five stage histograms populated, the
 // per-session /metrics filter, and a Prometheus scrape whose per-session
-// series sum to the rolled-up global series.
+// series sum to the rolled-up global series. A -fleet session must show
+// its own four stages (no shard dispatch).
 
 import (
 	"bytes"
@@ -183,5 +184,39 @@ func TestDaemonObservabilityEndToEnd(t *testing.T) {
 	d.Shutdown()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+
+	// A -fleet session runs one serial detector with no shards: its stages
+	// are decode, stamp, detect (recorded by the runner) and report, with
+	// no dispatch.
+	froot := obs.NewRegistry()
+	var freport bytes.Buffer
+	fd, fdone := testDaemonCfg(t, &freport, func(c *daemonConfig) {
+		c.obsRoot = froot
+		c.fleet, c.fleetWorkers = true, 2
+	})
+	fsum := streamOnce(t, fd, trA, "")
+	var frow *sessionInfo
+	for _, in := range fd.sessionInfos() {
+		in := in
+		frow = &in
+	}
+	if frow == nil || frow.Events != trA.Len() || frow.Races != uint64(fsum.Races) {
+		t.Fatalf("fleet /sessions row %+v, want %d events and %d races", frow, trA.Len(), fsum.Races)
+	}
+	for _, st := range []string{obs.StageDecode, obs.StageStamp, obs.StageDetect, obs.StageReport} {
+		if frow.Stages[st].Count == 0 {
+			t.Errorf("fleet: stage %q has no samples: %+v", st, frow.Stages)
+		}
+	}
+	if n := frow.Stages[obs.StageDetect].Count; n != uint64(trA.Len()) {
+		t.Errorf("fleet: stage.detect counted %d events, want %d", n, trA.Len())
+	}
+	if _, ok := frow.Stages[obs.StageDispatch]; ok {
+		t.Errorf("fleet: stage.dispatch recorded without shards: %+v", frow.Stages)
+	}
+	fd.Shutdown()
+	if err := <-fdone; err != nil {
+		t.Fatalf("fleet Serve: %v", err)
 	}
 }

@@ -7,12 +7,20 @@ package main
 // drops mid-stream the session is parked with its full detection state
 // (happens-before engine, pipeline shards, interning table, chunk cursor)
 // and a reconnecting client resumes it by replaying unacknowledged chunks,
-// which the decoder deduplicates by sequence number. The analysis worker
-// is supervised: a panic degrades the session to a partial-but-honest
-// report instead of killing the daemon.
+// which the decoder deduplicates by sequence number.
+//
+// Detection runs through one session runner (run/step/finish below): the
+// per-event body, the checkpoint cut-point, supervision and the result
+// harvest exist once. Per-conn and -fleet sessions differ only in the
+// detector the session owns (the sharded pipeline, or one serial
+// core.Detector) and in who drives the runner (a dedicated goroutine
+// blocking on the queue, or fleet quanta on the shared worker pool). A
+// panic degrades the session to a partial-but-honest report instead of
+// killing the daemon.
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -26,6 +34,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -44,11 +53,10 @@ var (
 // sessObs bundles the per-session instruments, resolved from the session's
 // scope so every write rolls up into the daemon-global series: ingest
 // counters (frames, events, races, backpressure), the queue-depth gauge
-// whose peak is the session's high-water backlog, and the two stage spans
-// the session records itself (wire decode and report emit; the stamp span
-// is recorded by the worker around the hb engine, and the dispatch and
-// detect spans come from the pipeline instruments resolved against the
-// same scope).
+// whose peak is the session's high-water backlog, and the stage spans the
+// session records itself (wire decode, hb stamping and report emit). The
+// detect span is the runner's only for a serial detector; the pipeline
+// records dispatch and detect itself, against the same scope.
 type sessObs struct {
 	frames *obs.Counter
 	events *obs.Counter
@@ -56,6 +64,7 @@ type sessObs struct {
 	stalls *obs.Counter
 	queue  *obs.Gauge
 	decode *obs.Span
+	stamp  *obs.Span
 	report *obs.Span
 }
 
@@ -67,6 +76,7 @@ func newSessObs(scope *obs.Registry) *sessObs {
 		stalls: scope.Counter("rd2d.backpressure_stalls"),
 		queue:  scope.Gauge("rd2d.queue_events"),
 		decode: scope.Span(obs.StageDecode),
+		stamp:  scope.Span(obs.StageStamp),
 		report: scope.Span(obs.StageReport),
 	}
 }
@@ -82,7 +92,7 @@ const (
 const DefaultResumeTTL = 30 * time.Second
 
 // session is one detection run: the bounded event queue between the
-// connection read loop and the supervised analysis worker, plus the state
+// connection read loop and the supervised session runner, plus the state
 // needed to park and resume across connections.
 type session struct {
 	d      *daemon
@@ -91,44 +101,53 @@ type session struct {
 	name   string // scope id: sid, or "conn-<id>" for plain sessions
 	tenant string // quota/scheduling tenant (fleet.DefaultTenant when unset)
 
-	// Fleet-mode execution (nil with -fleet off): the run-queue entry on
-	// the shared scheduler and its serial runner. admit releases the
-	// session's admission reservation; finalize calls it (idempotent).
-	entry  *fleet.Entry
-	runner *fleetRunner
-	admit  func()
+	// entry is the session's run-queue entry on the shared scheduler
+	// (-fleet only; nil when a dedicated goroutine drives the runner).
+	// admit releases the session's admission reservation; finalize calls
+	// it (idempotent).
+	entry *fleet.Entry
+	admit func()
 
 	// Durable-session state (nil without -statedir or for plain streams):
-	// the WAL + snapshot machinery and, on a rehydrated session, the
-	// checkpointed state the worker imports before processing.
-	dur     *durSession
-	restore *sessionRestore
+	// the WAL + snapshot machinery.
+	dur *durSession
 
 	scope *obs.Registry // per-session metric scope (rolls up to the root)
 	ob    *sessObs
 	sr    *core.SessionReporter // stamps session+seq on JSONL records (nil without -report)
 
 	queue chan trace.Event
-	done  chan struct{} // worker exited (detection results final)
+	done  chan struct{} // runner finished (detection results final)
 	final chan struct{} // summary assembled (read s.summary after this)
 
-	// Worker-owned detection state; touched outside the worker only after
-	// <-done (the channel close is the happens-before edge).
-	en          *hb.Engine
-	p           *pipeline.Pipeline
-	registered  map[trace.ObjID]bool
-	wrapRep     func(ap.Rep) ap.Rep // fault-injection hook (nil normally)
-	events      int
-	races       int
-	shardPanics int
-	degraded    bool // pipeline degraded or worker panicked
-	panicked    bool
-	procErr     error
-	lastEv      trace.Event // most recent event, formatted only in panic reports
+	// Runner-owned detection state; touched outside the runner only after
+	// <-done (the channel close is the happens-before edge). Both drivers
+	// run the runner one call at a time (the fleet scheduler's mutex
+	// hand-off orders quanta that hop between workers).
+	en           *hb.Engine
+	det          detector
+	detect       *obs.Span // stage.detect around det.Process; nil when det records it
+	registered   map[trace.ObjID]bool
+	wrapRep      func(ap.Rep) ap.Rep // fault-injection hook (nil normally)
+	events       int
+	sinceCompact int
+	races        int
+	shardPanics  int
+	degraded     bool // detector degraded or runner panicked
+	panicked     bool // runner panicked: later steps drain uncounted
+	finished     bool
+	procErr      error
+	lastEv       trace.Event // the event being stepped; formatted only in panic reports
 
 	// Reader-published stream facts (set before the queue closes).
 	clean   atomic.Bool
 	readErr atomic.Value // string
+
+	// Decoder figures the read loop publishes at every frame, for
+	// monitoring reads that must not touch the decoder it is mutating.
+	decEvents   atomic.Int64
+	decDegraded atomic.Bool
+	decAcked    atomic.Uint64 // last acked chunk + 1; 0 = none yet
 
 	mu      sync.Mutex
 	state   int
@@ -146,12 +165,13 @@ type session struct {
 // pokeable is the slice of net.Conn the session needs from its connection.
 type pokeable interface{ SetReadDeadline(time.Time) error }
 
-// newSession creates a session and starts its supervised worker. Every
-// session gets its own metric scope ("session" = its id) under the daemon's
-// registry root: the engine, pipeline shards, decoder, and the session's
-// own ingest instruments all record into it, and every write rolls up into
-// the global series, so /sessions and /metrics?session=ID attribute the
-// fleet numbers per tenant at no extra bookkeeping.
+// newSession creates a session, gives it its detector, and starts the
+// driver of its runner. Every session gets its own metric scope ("session"
+// = its id) under the daemon's registry root: the engine, detector,
+// decoder, and the session's own ingest instruments all record into it,
+// and every write rolls up into the global series, so /sessions and
+// /metrics?session=ID attribute the fleet numbers per tenant at no extra
+// bookkeeping.
 func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *session {
 	id := d.sessionSeq.Add(1)
 	name := sid
@@ -168,7 +188,6 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 		sid:        sid,
 		name:       name,
 		tenant:     tenant,
-		restore:    restore,
 		scope:      scope,
 		ob:         newSessObs(scope),
 		queue:      make(chan trace.Event, d.cfg.queueLen),
@@ -210,12 +229,20 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 	}
 	s.releaseGauge = obsActiveSessions.Enter()
 	d.track(s)
+	// Fleet sessions own one serial detector and no goroutine; per-conn
+	// sessions own the sharded pipeline, which records its own dispatch
+	// and detect spans.
+	var serial *core.Detector
 	if d.cfg.fleet {
-		// Fleet mode: no private goroutine, no per-session shards. The
-		// session runs as quanta on the shared worker pool.
-		s.startFleet(ccfg)
+		serial = core.New(ccfg)
+		s.det, s.detect = serial, scope.Span(obs.StageDetect)
 	} else {
-		s.p = pipeline.New(pipeline.Config{Shards: d.cfg.shards, Core: ccfg, Obs: scope})
+		s.det = pipeline.New(pipeline.Config{Shards: d.cfg.shards, Core: ccfg, Obs: scope})
+	}
+	s.applyRestore(restore)
+	if serial != nil {
+		s.entry = d.sched.Register(tenant, &quantum{s: s, det: serial})
+	} else {
 		go s.work()
 	}
 	return s
@@ -230,72 +257,150 @@ func (s *session) logf(format string, args ...any) {
 	s.d.cfg.logger.Printf("%s: %s", who, fmt.Sprintf(format, args...))
 }
 
-// work is the supervised analysis worker: incremental happens-before
-// stamping into the sharded pipeline, with lazy registration and periodic
-// compaction. A panic is recovered — logged with the offending event and
-// stack, counted, and degraded to a partial result — and the worker keeps
-// draining the queue so the connection read loop can never block forever
-// on a dead session.
+// detector is the detection back-end a session runner drives: the sharded
+// pipeline (per-conn) or one serial core.Detector (-fleet).
+type detector interface {
+	Register(trace.ObjID, ap.Rep)
+	Process(*trace.Event) error
+	Compact(vclock.VC) int
+	Export() (*core.DetectorState, error)
+	ImportState(*core.DetectorState, func(trace.ObjID) (ap.Rep, error)) error
+	Close() error
+	Stats() core.Stats
+	ShardPanics() int
+}
+
+// work is the per-conn driver: a dedicated goroutine that blocks on the
+// queue until it closes.
 func (s *session) work() {
-	defer close(s.done)
+	for {
+		if _, more := s.run(math.MaxInt, true); !more {
+			return
+		}
+	}
+}
+
+// quantum is the -fleet driver: the shared worker pool runs the session in
+// non-blocking quanta under deficit-round-robin tenant scheduling. det is
+// the session's serial detector, whose arena footprint is charged to the
+// tenant's arena quota after every quantum.
+type quantum struct {
+	s   *session
+	det *core.Detector
+}
+
+// RunQuantum implements fleet.Runnable. When the queue runs dry it yields
+// and relies on the read loop's per-enqueue Wake.
+func (q *quantum) RunQuantum(n int) (used int, more bool) {
+	used, more = q.s.run(n, false)
+	if !q.s.finished {
+		// After finish the entry is closing, which zeroes the charge.
+		q.s.entry.SetArenaBytes(q.det.ArenaBytes())
+	}
+	return used, more
+}
+
+// run steps up to n queued events, blocking for each when block is set,
+// and finishes the session when the queue closes. more reports whether
+// the caller should run again without waiting for input: n events were
+// taken, or a panic cut the call short. A panic is recovered here — logged
+// with the offending event and stack, counted, and degraded to a partial
+// result — and later calls drain the rest of the queue uncounted, so the
+// read loop can never block forever on a dead session.
+func (s *session) run(n int, block bool) (used int, more bool) {
+	if s.finished {
+		return 0, false
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked = true
 			s.degraded = true
 			obsSessionPanics.Inc()
 			s.logf("recovered worker panic at event %s: %v\n%s", s.lastEv, r, debug.Stack())
-			for range s.queue {
-			} // drain: the reader must never block on a dead worker
-			s.collect()
+			more = true
 		}
 	}()
-	s.applyRestore()
-	stamp := s.scope.Span(obs.StageStamp)
-	sinceCompact := 0
-	for e := range s.queue {
-		// Before the count advances, the worker sits exactly at the frame
-		// boundary a checkpoint needs (events processed == boundary cum).
-		s.maybeCheckpoint()
-		s.events++
-		sinceCompact++
-		if s.procErr != nil {
-			continue // drain
-		}
-		s.lastEv = e
-		if n := s.d.cfg.injectWorkerPanic; n > 0 && s.events == n {
-			panic(fmt.Sprintf("faultinject: injected worker panic at event %d", n))
-		}
-		start := stamp.Start()
-		_, err := s.en.Process(&e)
-		stamp.End(start, 1)
-		if err != nil {
-			s.procErr = fmt.Errorf("event %d (%s): %w", e.Seq, e.String(), err)
-			continue
-		}
-		// Lazy registration ahead of the object's first action, then the
-		// event itself, then the post-join compaction check.
-		if e.Kind == trace.ActionEvent && !s.registered[e.Act.Obj] {
-			rep, _ := s.d.repFor(e.Act.Obj)
-			if s.wrapRep != nil {
-				rep = s.wrapRep(rep)
+	for used < n {
+		// Events are received into the session, not a local: a local
+		// handed to the detector interface would escape, one heap
+		// allocation per event.
+		ok := true
+		if block {
+			s.lastEv, ok = <-s.queue
+		} else {
+			select {
+			case s.lastEv, ok = <-s.queue:
+			default:
+				return used, false
 			}
-			s.p.Register(e.Act.Obj, rep)
-			s.registered[e.Act.Obj] = true
 		}
-		s.p.Process(&e)
-		if e.Kind == trace.JoinEvent && s.d.cfg.compactOps > 0 && sinceCompact >= s.d.cfg.compactOps {
-			s.p.Compact(s.en.MeetLive())
-			sinceCompact = 0
+		if !ok {
+			s.finish()
+			return used, false
 		}
+		used++
+		s.step(&s.lastEv)
 	}
-	s.collect()
+	return used, true
 }
 
-// collect closes the pipeline and harvests its results, under its own
-// panic guard: even a detector that dies during the final merge yields
-// whatever it reported before dying (an honestly degraded result) rather
-// than losing the session.
-func (s *session) collect() {
+// step is the per-event body: checkpoint cut-point, happens-before
+// stamping, lazy registration ahead of the object's first action,
+// detection, and the post-join compaction check.
+func (s *session) step(e *trace.Event) {
+	if s.panicked {
+		return
+	}
+	// Before the count advances, the runner sits exactly at the frame
+	// boundary a checkpoint needs (events processed == boundary cum).
+	s.maybeCheckpoint()
+	s.events++
+	s.sinceCompact++
+	if s.procErr != nil {
+		return // drain
+	}
+	if n := s.d.cfg.injectWorkerPanic; n > 0 && s.events == n {
+		panic(fmt.Sprintf("faultinject: injected worker panic at event %d", n))
+	}
+	start := s.ob.stamp.Start()
+	_, err := s.en.Process(e)
+	s.ob.stamp.End(start, 1)
+	if err != nil {
+		s.procErr = fmt.Errorf("event %d (%s): %w", e.Seq, e.String(), err)
+		return
+	}
+	if e.Kind == trace.ActionEvent && !s.registered[e.Act.Obj] {
+		rep, _ := s.d.repFor(e.Act.Obj)
+		if s.wrapRep != nil {
+			rep = s.wrapRep(rep)
+		}
+		s.det.Register(e.Act.Obj, rep)
+		s.registered[e.Act.Obj] = true
+	}
+	if s.detect != nil {
+		start := s.detect.Start()
+		err = s.det.Process(e)
+		s.detect.End(start, 1)
+	} else {
+		err = s.det.Process(e)
+	}
+	if err != nil {
+		s.procErr = fmt.Errorf("event %d (%s): %w", e.Seq, e.String(), err)
+		return
+	}
+	if e.Kind == trace.JoinEvent && s.d.cfg.compactOps > 0 && s.sinceCompact >= s.d.cfg.compactOps {
+		s.det.Compact(s.en.MeetLive())
+		s.sinceCompact = 0
+	}
+}
+
+// finish closes the detector, harvests its results and publishes them
+// through s.done, under its own panic guard: even a detector that dies
+// during the final merge yields whatever it reported before dying (an
+// honestly degraded result) rather than losing the session.
+func (s *session) finish() {
+	s.finished = true
+	defer close(s.done)
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked = true
@@ -304,13 +409,12 @@ func (s *session) collect() {
 			s.logf("recovered panic collecting results: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if err := s.p.Close(); err != nil && s.procErr == nil {
+	if err := s.det.Close(); err != nil && s.procErr == nil {
 		s.procErr = err
 	}
-	st := s.p.Stats()
-	s.races = st.Races
-	s.shardPanics = s.p.ShardPanics()
-	if s.p.Degraded() {
+	s.races = s.det.Stats().Races
+	s.shardPanics = s.det.ShardPanics()
+	if s.shardPanics > 0 {
 		s.degraded = true
 	}
 }
@@ -353,7 +457,7 @@ func (s *session) park() bool {
 	s.mu.Unlock()
 	s.d.mu.Unlock()
 	obsParks.Inc()
-	s.logf("parked (%d events so far, resume ttl %v)", s.d.snapshotEvents(s), ttl)
+	s.logf("parked (%d events so far, resume ttl %v)", s.decEvents.Load(), ttl)
 	return true
 }
 
@@ -371,19 +475,19 @@ func (s *session) expire() {
 		sum.Events, sum.Races, sum.Clean, sum.Degraded)
 }
 
-// snapshotEvents reads the decoder's event count for logging (the worker's
-// count is not synchronized until done).
-func (d *daemon) snapshotEvents(s *session) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dec != nil {
-		return s.dec.Events()
+// publishDecoder copies the decoder figures monitoring reads into the
+// session's atomics. Called by whoever is driving dec: the read loop at
+// each frame, or rehydration after WAL replay.
+func (s *session) publishDecoder(dec *wire.Decoder) {
+	s.decEvents.Store(int64(dec.Events()))
+	s.decDegraded.Store(dec.Degraded())
+	if n, ok := dec.AckedChunk(); ok {
+		s.decAcked.Store(n + 1)
 	}
-	return 0
 }
 
 // finalize ends the session exactly once: close the queue, wait for the
-// worker, assemble the summary from detection results plus stream facts
+// runner, assemble the summary from detection results plus stream facts
 // (resync skips, resumes), do the daemon bookkeeping, and release the
 // active-session gauge. Every later (or concurrent) call waits and returns
 // the same summary. Callers must guarantee no read loop is feeding the
@@ -399,8 +503,7 @@ func (s *session) finalize() wire.Summary {
 		s.mu.Unlock()
 		close(s.queue)
 		if s.entry != nil {
-			// Fleet mode: the closed queue is drained and collected by a
-			// shared worker; wake the entry so an idle session notices.
+			// Wake the fleet entry so an idle session's runner notices.
 			s.entry.Wake()
 		}
 		<-s.done

@@ -47,9 +47,10 @@ type sessionInfo struct {
 	Stages map[string]stageStat `json:"stages,omitempty"`
 }
 
-// info snapshots one session. Detection state owned by the worker is read
-// from the session's metric scope (witnessed by atomic loads), never from
-// the worker's private fields, so this is safe mid-flight.
+// info snapshots one session. Detection state owned by the runner is read
+// from the session's metric scope, and decoder figures from the atomics the
+// read loop publishes, never from the runner's or the decoder's private
+// fields, so this is safe mid-flight.
 func (s *session) info() sessionInfo {
 	in := sessionInfo{
 		Session: s.name,
@@ -81,18 +82,16 @@ func (s *session) info() sessionInfo {
 		in.State = "attached"
 	}
 	in.Resumes = s.resumes
-	if s.dec != nil {
-		in.Events = s.dec.Events()
-		in.Degraded = s.dec.Degraded()
-		if n, ok := s.dec.AckedChunk(); ok {
-			in.AckedSeq = n
-		}
-	}
 	s.mu.Unlock()
+	in.Events = int(s.decEvents.Load())
+	in.Degraded = s.decDegraded.Load()
+	if n := s.decAcked.Load(); n > 0 {
+		in.AckedSeq = n - 1
+	}
 	// Once final closes the summary is immutable and has the exact figures
-	// (including worker panics the decoder cannot see). A session that is
+	// (including runner panics the decoder cannot see). A session that is
 	// still mid-finalize keeps its live approximation — never block a
-	// monitoring read on a draining worker.
+	// monitoring read on a draining runner.
 	select {
 	case <-s.final:
 		sum := s.summary

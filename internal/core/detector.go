@@ -546,6 +546,18 @@ func (d *Detector) Races() []Race { return d.races }
 // Stats returns a snapshot of the counters.
 func (d *Detector) Stats() Stats { return d.stats }
 
+// Close publishes the batched metric deltas (FlushObs) and returns nil. A
+// serial detector owns no goroutines; Close exists so it and the sharded
+// pipeline share one shutdown surface.
+func (d *Detector) Close() error {
+	d.FlushObs()
+	return nil
+}
+
+// ShardPanics returns 0: a serial detector does not supervise itself, so a
+// panic propagates to its caller. It mirrors pipeline.Pipeline.ShardPanics.
+func (d *Detector) ShardPanics() int { return 0 }
+
 // ArenaBytes returns the total bytes the detector's arena has requested
 // from the heap. The arena recycles internally and never frees, so this is
 // a monotone upper bound on the detector's resident detection-state

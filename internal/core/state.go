@@ -54,6 +54,11 @@ type DetectorState struct {
 	Stats    Stats
 }
 
+// Export is ExportState with the sharded pipeline's fallible signature
+// (pipeline.Pipeline.Export), so either can back a checkpoint. It never
+// fails.
+func (d *Detector) Export() (*DetectorState, error) { return d.ExportState(), nil }
+
 // ExportState deep-copies the detector's resumable state. The detector
 // remains usable; the export shares no mutable memory with it (Action
 // value slices are shared but never written by the detector).

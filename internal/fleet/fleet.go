@@ -24,9 +24,11 @@
 // The scheduler owns no goroutines beyond its workers: total daemon
 // goroutine count in fleet mode is O(workers + connections), not
 // O(sessions x shards). With Workers == 0 the scheduler still provides
-// admission and quota enforcement (rd2d uses that for -max-sessions
-// with -fleet off); Register must not be used in that configuration,
-// as queued entries would never run.
+// admission control, session caps and ingest throttles (rd2d's per-conn
+// mode, where each session's runner has a dedicated goroutine); Register
+// must not be used in that configuration, as queued entries would never
+// run. Arena quotas are charged through registered entries
+// (Entry.SetArenaBytes), so they hold only with workers.
 package fleet
 
 import (

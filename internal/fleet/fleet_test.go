@@ -215,6 +215,15 @@ func (r *drainRun) RunQuantum(n int) (int, bool) {
 	return u, true
 }
 
+// gateRun is a Runnable whose one quantum blocks until its channel
+// closes, holding a worker.
+type gateRun chan struct{}
+
+func (g gateRun) RunQuantum(int) (int, bool) {
+	<-g
+	return 0, false
+}
+
 func (r *drainRun) usedNow() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -279,10 +288,15 @@ func TestDRRTenantFairness(t *testing.T) {
 		}
 		hotAtBgDone.Store(int64(sum))
 	}
+	// The gate holds the only worker until both tenants are queued, so
+	// neither gets a head start of unopposed rounds.
+	gate := make(chan struct{})
+	s.Register("gate", gateRun(gate)).Wake()
 	for _, r := range hot {
 		s.Register("hot", r).Wake()
 	}
 	s.Register("bg", bg).Wake()
+	close(gate)
 
 	waitDone(t, bg)
 	for _, r := range hot {

@@ -55,6 +55,10 @@ func (p *Pipeline) ExportState() (*core.DetectorState, error) {
 	return merged, nil
 }
 
+// Export is ExportState under the name core.Detector shares, so a serial
+// detector and a pipeline are interchangeable behind one checkpoint call.
+func (p *Pipeline) Export() (*core.DetectorState, error) { return p.ExportState() }
+
 // ImportState loads a merged export into the pipeline's fresh shard
 // detectors: each object's state goes to its owning shard (the same routing
 // Process uses), historical counters and the dead-racy count to shard 0.
