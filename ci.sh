@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI entry point: vet, build, full race-instrumented tests, the
-# serial-vs-sharded and back-end-layout differential suites, smoke-size
+# serial-vs-sharded and back-end-layout differential suites, the idle-flush
+# tests under -race at GOMAXPROCS 1, 2 and 4, smoke-size
 # allocation gates on the happens-before front-end and the detection
 # back-end, and a ratio gate on the back-end layout. Mirrors `make ci` for
 # hosts without make.
@@ -114,6 +115,21 @@ if [ "$ONLY" = 0 ]; then
     # traces, compaction interleavings, and the example-trace corpus.
     go test -race -run 'TestDifferential|TestSingleShardByteForByte|TestParallelMatchesSerial|TestCorpusStamping|TestEngineExportImportDifferential' \
         . ./internal/pipeline ./internal/monitor ./internal/hb ./internal/core -v
+
+    echo "== idle flush under -race at GOMAXPROCS 1, 2, 4 =="
+    # A per-conn rd2d runner hands its partial shard batches to the
+    # detectors before it sleeps on an empty queue, so a verdict never waits
+    # for the next frame. The flush moves work between the runner and the
+    # shard goroutines; run its tests at several core counts. Fail if the
+    # pattern selects fewer than the two tests.
+    FLUSHRUN='^(TestFlushDeliversPartialBatch|TestVerdictBeforeNextFrame)$'
+    if [ "$(go test -list "$FLUSHRUN" ./internal/pipeline ./cmd/rd2d | grep -c '^Test')" != 2 ]; then
+        echo "idle flush: -run '$FLUSHRUN' does not match both tests" >&2
+        exit 1
+    fi
+    for procs in 1 2 4; do
+        GOMAXPROCS=$procs go test -race -count=5 -run "$FLUSHRUN" ./internal/pipeline ./cmd/rd2d
+    done
 
     echo "== stamp differential under -tags=clockcheck (poisoned snapshots) =="
     # StampAll, Stream and the clone-per-event reference over the corpus and

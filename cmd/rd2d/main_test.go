@@ -9,10 +9,12 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/specs"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -233,6 +235,93 @@ func TestDaemonDrainMidStream(t *testing.T) {
 	}
 	if n := d.cfg.reporter.Count(); n != wantRaces {
 		t.Fatalf("final report has %d records, want %d", n, wantRaces)
+	}
+}
+
+// firstWriteSignal is a report sink that closes first on its first write.
+type firstWriteSignal struct {
+	once  sync.Once
+	first chan struct{}
+}
+
+func (w *firstWriteSignal) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.first) })
+	return len(p), nil
+}
+
+// racyPrefix returns the shortest prefix of tr on which the offline serial
+// detector already reports a race.
+func racyPrefix(t *testing.T, tr *trace.Trace) []trace.Event {
+	t.Helper()
+	rep, err := specs.Rep("dict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := core.New(core.Config{})
+	for i := range tr.Events {
+		e := tr.Events[i]
+		if e.Kind == trace.ActionEvent {
+			det.Register(e.Act.Obj, rep)
+		}
+		if err := det.Process(&e); err != nil {
+			t.Fatal(err)
+		}
+		if det.Stats().Races > 0 {
+			return tr.Events[:i+1]
+		}
+	}
+	t.Fatal("racy trace has no racy prefix")
+	return nil
+}
+
+// TestVerdictBeforeNextFrame sends one events frame holding a racy prefix
+// of a trace, far less than a shard batch, and then neither another frame
+// nor an end-of-stream: the connection stays open and idle. The race must
+// still be reported while the stream is open. In per-conn mode this holds
+// only because the runner flushes its partial shard batches before it
+// sleeps on an empty ingest queue; without that the record would wait for
+// input that never arrives, until the stream ends.
+func TestVerdictBeforeNextFrame(t *testing.T) {
+	tr, _ := racyTrace(t)
+	prefix := racyPrefix(t, tr)
+	if len(prefix) >= pipeline.DefaultBatchSize/2 {
+		t.Fatalf("racy prefix has %d events; it must stay well under one shard batch (%d)",
+			len(prefix), pipeline.DefaultBatchSize)
+	}
+	for _, m := range runnerModes {
+		t.Run(m.name, func(t *testing.T) {
+			sink := &firstWriteSignal{first: make(chan struct{})}
+			d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
+				m.cfg(c)
+				c.reporter = core.NewReportWriter(sink)
+				// The idle timeout must outlast the wait below: an idle
+				// cut ends the stream, and end-of-stream flushes anyway.
+				c.idleTimeout = time.Minute
+			})
+			conn, err := net.Dial("tcp", d.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			enc := wire.NewEncoder(conn)
+			for i := range prefix {
+				if err := enc.WriteEvent(&prefix[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-sink.first:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no race record 10s after a %d-event racy frame on an open stream", len(prefix))
+			}
+			d.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+		})
 	}
 }
 

@@ -265,6 +265,7 @@ type detector interface {
 	Compact(vclock.VC) int
 	Export() (*core.DetectorState, error)
 	ImportState(*core.DetectorState, func(trace.ObjID) (ap.Rep, error)) error
+	Flush()
 	Close() error
 	Stats() core.Stats
 	ShardPanics() int
@@ -300,8 +301,9 @@ func (q *quantum) RunQuantum(n int) (used int, more bool) {
 	return used, more
 }
 
-// run steps up to n queued events, blocking for each when block is set,
-// and finishes the session when the queue closes. more reports whether
+// run steps up to n queued events, blocking for each when block is set
+// (flushing the detector's partial batches before it sleeps), and
+// finishes the session when the queue closes. more reports whether
 // the caller should run again without waiting for input: n events were
 // taken, or a panic cut the call short. A panic is recovered here — logged
 // with the offending event and stack, counted, and degraded to a partial
@@ -325,14 +327,17 @@ func (s *session) run(n int, block bool) (used int, more bool) {
 		// handed to the detector interface would escape, one heap
 		// allocation per event.
 		ok := true
-		if block {
-			s.lastEv, ok = <-s.queue
-		} else {
-			select {
-			case s.lastEv, ok = <-s.queue:
-			default:
+		select {
+		case s.lastEv, ok = <-s.queue:
+		default:
+			if !block {
 				return used, false
 			}
+			// About to sleep on an empty queue: hand the detector's
+			// partial batches over first, so no verdict waits on input
+			// that has not arrived. Under backlog batches stay full.
+			s.det.Flush()
+			s.lastEv, ok = <-s.queue
 		}
 		if !ok {
 			s.finish()

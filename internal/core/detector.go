@@ -554,6 +554,10 @@ func (d *Detector) Close() error {
 	return nil
 }
 
+// Flush does nothing: a serial detector holds no batches, every action is
+// decided inside Process. It mirrors pipeline.Pipeline.Flush.
+func (d *Detector) Flush() {}
+
 // ShardPanics returns 0: a serial detector does not supervise itself, so a
 // panic propagates to its caller. It mirrors pipeline.Pipeline.ShardPanics.
 func (d *Detector) ShardPanics() int { return 0 }

@@ -13,11 +13,16 @@
 // the serial run. The differential tests in this package assert that
 // equivalence on randomized traces.
 //
-// The producer (whoever calls Process — the monitored runtime's emit path
-// or RunTrace) batches events per shard and hands them over bounded
-// channels, amortizing channel synchronization over BatchSize events.
-// Registrations and compaction thresholds travel the same ordered streams,
-// so a shard never sees an action before its object's registration.
+// The producer (whoever calls Process — the monitored runtime's emit path,
+// RunTrace, or an rd2d session runner) batches events per shard and hands
+// them over bounded channels, amortizing channel synchronization over
+// BatchSize events. A batch leaves when it is full, or earlier when the
+// producer calls Flush: rd2d's per-connection runner does so whenever its
+// ingest queue runs dry, so a verdict never waits for input that has not
+// arrived, while under backlog batches stay full. Registrations and
+// compaction thresholds travel the same ordered streams, so a shard never
+// sees an action before its object's registration, wherever the batch
+// boundaries fall.
 //
 // Determinism: per-shard race reports are merged and sorted with
 // core.SortRaces, so the merged report is independent of shard count and
@@ -161,10 +166,11 @@ type shard struct {
 }
 
 // Pipeline is a sharded parallel commutativity race detector. The producer
-// side (Register, Process, Compact, Close) must be called from a single
-// goroutine, or externally serialized — the monitored runtime's emit lock
-// provides exactly that. Results (Races, Stats, DistinctObjects) are
-// available after Close; calling them closes the pipeline implicitly.
+// side (Register, Process, Compact, Flush, Barrier, Close) must be called
+// from a single goroutine, or externally serialized — the monitored
+// runtime's emit lock provides exactly that. Results (Races, Stats,
+// DistinctObjects) are available after Close; calling them closes the
+// pipeline implicitly.
 type Pipeline struct {
 	cfg     Config
 	ob      *pipeObs
@@ -421,7 +427,14 @@ func (p *Pipeline) Compact(threshold vclock.VC) int {
 	return 0
 }
 
-// Flush sends every pending partial batch to its shard.
+// Flush sends every pending partial batch to its shard; with nothing
+// pending it sends nothing. Like the rest of the producer surface it must
+// be called from the producing goroutine, before Close. It moves only batch
+// boundaries, never the order of any shard's stream, so verdicts do not
+// depend on when it is called. Barrier and Close call it; rd2d's
+// per-connection session runner calls it each time it is about to block on
+// an empty ingest queue, so the tail of a frame reaches the detectors
+// without waiting for the next frame.
 func (p *Pipeline) Flush() {
 	for i, buf := range p.pending {
 		if buf != nil {

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hb"
+	"repro/internal/obs"
 	"repro/internal/specs"
 	"repro/internal/trace"
 )
@@ -316,5 +318,69 @@ func TestStampErrorKeepsPrefix(t *testing.T) {
 		if n := p.Stats().Actions; n != 1 {
 			t.Fatalf("%s: %d actions detected, want the 1 before the error", mode, n)
 		}
+	}
+}
+
+// TestFlushDeliversPartialBatch checks that Flush hands a partial batch to
+// its shard: a racy pair far under one default batch is reported before
+// Close. A second Flush with nothing pending sends no batch.
+func TestFlushDeliversPartialBatch(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	reg := obs.NewRegistry()
+	raced := make(chan core.Race, 1)
+	p := New(Config{Obs: reg, Core: core.Config{OnRace: func(r core.Race) {
+		select {
+		case raced <- r:
+		default:
+		}
+	}}})
+	tr := trace.NewBuilder().
+		Fork(0, 1).Fork(0, 2).
+		Put(2, 0, trace.StrValue("a.com"), trace.IntValue(1), trace.NilValue).
+		Put(1, 0, trace.StrValue("a.com"), trace.IntValue(2), trace.IntValue(1)).
+		Trace()
+	p.Register(0, dictRep)
+	en := hb.New()
+	for i := range tr.Events {
+		if _, err := en.Process(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Process(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := reg.Counter("pipeline.batches")
+	dispatch := reg.Span(obs.StageDispatch)
+	if n := dispatch.Latency().Count; n != 0 {
+		t.Fatalf("%d batches dispatched before Flush, want 0 (the pair is under one batch)", n)
+	}
+
+	p.Flush()
+	select {
+	case r := <-raced:
+		if r.First.Method != "put" || r.Second.Method != "put" {
+			t.Errorf("race = %v, want the two puts", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no race reported within 10s of Flush")
+	}
+	if n := dispatch.Latency().Count; n != 1 {
+		t.Fatalf("Flush dispatched %d batches, want 1", n)
+	}
+
+	p.Flush()
+	if n := dispatch.Latency().Count; n != 1 {
+		t.Fatalf("second Flush with nothing pending: %d batches dispatched in all, want 1", n)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close drains every shard, so the shard-side batch count is final.
+	if n := batches.Load(); n != 1 {
+		t.Fatalf("pipeline.batches = %d after the second Flush and Close, want 1", n)
+	}
+	if n := dispatch.Latency().Count; n != 1 {
+		t.Fatalf("stage.dispatch samples = %d after Close, want 1", n)
 	}
 }
