@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI entry point: vet, build, full race-instrumented tests, the
+# CI entry point: vet (the rd2dbench module too), build, full
+# race-instrumented tests, the
 # serial-vs-sharded and back-end-layout differential suites, the idle-flush
 # tests under -race at GOMAXPROCS 1, 2 and 4, smoke-size
 # allocation gates on the happens-before front-end and the detection
@@ -40,7 +41,8 @@
 #   -fleet        additionally run the fleet-scheduling smoke: the fleet test
 #                 suite (differential, admission, chaos, starvation) under
 #                 -race and again under -tags=clockcheck, the whole rd2d
-#                 suite under -race at GOMAXPROCS=4 three times, then live
+#                 suite under -race twenty times at each of GOMAXPROCS 1, 2
+#                 and 4 (the session-lifecycle gate), then live
 #                 binaries: each daemon mode (per-conn and -fleet) streams
 #                 the whole examples/traces corpus and its JSONL verdicts
 #                 must be byte-identical to offline rd2 -report, and a
@@ -102,6 +104,10 @@ fi
 if [ "$ONLY" = 0 ]; then
     echo "== go vet =="
     go vet ./...
+    # rd2dbench is a separate module compiled against internal/{core,hb,
+    # pipeline,fleet,wire}, and nothing else builds it: without this step an
+    # internal API change passes CI and fails only the benchmark run.
+    (cd rd2dbench && go vet ./...)
 
     echo "== go build =="
     go build ./...
@@ -425,7 +431,11 @@ if [ "$FLEET" = 1 ]; then
     echo "== fleet: scheduler + daemon tests (-race) =="
     go test -race -timeout 180s ./internal/fleet
     go test -race -timeout 300s -run 'TestFleet|TestMaxSessionsCap' ./cmd/rd2d
-    GOMAXPROCS=4 go test -race -count=3 -timeout 600s ./cmd/rd2d
+    # The session-lifecycle gate: the whole suite, twenty runs under -race
+    # at each core count.
+    for procs in 1 2 4; do
+        GOMAXPROCS=$procs go test -race -count=20 -timeout 1800s ./cmd/rd2d
+    done
 
     echo "== fleet: differential + chaos under -tags=clockcheck (poisoned snapshots) =="
     go test -tags=clockcheck -count=1 -timeout 300s \

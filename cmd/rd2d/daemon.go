@@ -46,7 +46,7 @@ type daemonConfig struct {
 	maxRaces     int
 	queueLen     int           // per-connection ingest queue, in events
 	idleTimeout  time.Duration // per-read deadline; 0 disables
-	writeTimeout time.Duration // summary/ack write deadline; 0 disables
+	writeTimeout time.Duration // summary, ack and report write deadline; 0 = DefaultWriteTimeout
 	resumeTTL    time.Duration // parked-session lifetime; 0 = DefaultResumeTTL
 	resync       bool          // corruption resync: skip corrupt frames (degraded)
 	compactOps   int           // compact at most once per this many events; 0 disables
@@ -81,7 +81,8 @@ type daemonConfig struct {
 	tenantQuotas map[string]fleet.Quota // per-tenant overrides
 }
 
-// DefaultWriteTimeout bounds summary and ack writes to dead clients.
+// DefaultWriteTimeout bounds summary, ack and report writes to dead
+// readers.
 const DefaultWriteTimeout = 5 * time.Second
 
 // daemon accepts wire streams over TCP and runs detection sessions:
@@ -95,10 +96,11 @@ type daemon struct {
 	ln    net.Listener
 	sched *fleet.Scheduler
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	sessions map[string]*session // resumable sessions by client session id
-	draining bool
+	mu        sync.Mutex
+	conns     map[*countingConn]struct{}
+	sessions  map[string]*session // resumable sessions by client session id
+	draining  bool
+	drainOnce sync.Once
 
 	// tracked lists every live or lingering session by scope name for
 	// /sessions and the stats table. Its own lock, not d.mu: newSession
@@ -152,6 +154,15 @@ func newDaemon(addr string, cfg daemonConfig) (*daemon, error) {
 	if cfg.compactOps < 0 {
 		cfg.compactOps = 4096
 	}
+	if cfg.writeTimeout <= 0 {
+		cfg.writeTimeout = DefaultWriteTimeout
+	}
+	if cfg.resumeTTL <= 0 {
+		cfg.resumeTTL = DefaultResumeTTL
+	}
+	if cfg.ckptEvery <= 0 {
+		cfg.ckptEvery = DefaultCkptEvery
+	}
 	if cfg.logger == nil {
 		cfg.logger = log.New(io.Discard, "", 0)
 	}
@@ -162,7 +173,7 @@ func newDaemon(addr string, cfg daemonConfig) (*daemon, error) {
 	d := &daemon{
 		cfg:      cfg,
 		ln:       ln,
-		conns:    map[net.Conn]struct{}{},
+		conns:    map[*countingConn]struct{}{},
 		sessions: map[string]*session{},
 		tracked:  map[string]*session{},
 	}
@@ -218,88 +229,85 @@ func (d *daemon) untrack(s *session) {
 func (d *daemon) Addr() string { return d.ln.Addr().String() }
 
 // Serve runs the accept loop until Shutdown closes the listener. It
-// returns after every in-flight session has drained.
+// returns after every in-flight session has drained. Each accepted
+// connection gets an ordinal, which decides who may take over a session
+// another connection holds (see claim).
 func (d *daemon) Serve() error {
-	for {
+	for ord := int64(1); ; ord++ {
 		conn, err := d.ln.Accept()
 		if err != nil {
-			d.finalizeParked()
-			d.wg.Wait()
+			d.Shutdown()
 			// Every session has finalized; stop the fleet workers (Stop
 			// drains any quanta still queued, so it must come after the
-			// finalize sweep, never before).
+			// drain, never before).
 			d.sched.Stop()
-			if d.isDraining() {
+			if errors.Is(err, net.ErrClosed) { // the drain closed the listener
 				return nil
 			}
 			return err
 		}
+		cc := &countingConn{Conn: conn, idle: d.cfg.idleTimeout}
 		d.mu.Lock()
 		if d.draining {
 			d.mu.Unlock()
 			conn.Close()
 			continue
 		}
-		d.conns[conn] = struct{}{}
-		d.mu.Unlock()
+		d.conns[cc] = struct{}{}
 		d.wg.Add(1)
+		d.mu.Unlock()
 		go func() {
 			defer d.wg.Done()
-			d.handle(conn)
+			d.handle(cc, ord)
 		}()
 	}
 }
 
-// Shutdown begins a graceful drain: stop accepting, interrupt blocked
-// reads so sessions stop ingesting, finalize parked sessions, and wait for
-// every session to flush its pending shards and report. Safe to call more
-// than once.
+// Shutdown begins a graceful drain and waits for every session to flush
+// its pending shards and report. Safe to call more than once: later
+// callers wait for the first drain to finish.
 func (d *daemon) Shutdown() {
-	d.phase.Store(phaseDraining)
-	d.mu.Lock()
-	already := d.draining
-	d.draining = true
-	for conn := range d.conns {
-		// Wake any read blocked on the socket; the session treats the
-		// timeout as end-of-input and drains what it has.
-		conn.SetReadDeadline(time.Now())
-	}
-	d.mu.Unlock()
-	if !already {
-		d.ln.Close()
-	}
-	d.finalizeParked()
+	d.drainOnce.Do(d.drain)
 	d.wg.Wait()
 }
 
-// finalizeParked finalizes every parked session during a drain, so their
-// partial reports land before the daemon exits. Attached sessions are
-// finalized by their own read loops (the drain check in park prevents any
-// new parking once draining is set, and park's d.mu transition makes this
-// sweep exhaustive).
-func (d *daemon) finalizeParked() {
+// drain stops the daemon taking work. It refuses new connections and
+// sessions, cuts every read (a session treats the cut as the end of its
+// input and finalizes what it has), and completes every parked session
+// by the drain edge. Each edge is taken under the lock that checks the
+// state, so a concurrent resume either attached first, and its read is
+// cut with the rest, or finds the session completed. It also waits out
+// sessions a TTL edge completed, so none is still finalizing when Serve
+// stops the scheduler.
+func (d *daemon) drain() {
+	d.phase.Store(phaseDraining)
 	d.mu.Lock()
-	var parked []*session
+	d.draining = true
+	for cc := range d.conns {
+		cc.cut()
+	}
+	var drained, done []*session
 	for _, s := range d.sessions {
 		s.mu.Lock()
-		if s.state == stateParked {
-			parked = append(parked, s)
+		switch {
+		case s.state == stateParked && s.transition(stateCompleted, causeDrain):
+			drained = append(drained, s)
+		case s.state == stateCompleted:
+			done = append(done, s)
 		}
 		s.mu.Unlock()
 	}
 	d.mu.Unlock()
-	for _, s := range parked {
+	d.ln.Close()
+	for _, s := range drained {
 		obsDrainCuts.Inc()
 		sum := s.finalize()
 		s.logf("drain: finalized parked session: %d events, %d races, clean=%v",
 			sum.Events, sum.Races, sum.Clean)
 	}
-}
-
-func (d *daemon) isDraining() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.draining
+	for _, s := range done {
+		s.waitSummary()
+	}
 }
 
 // dropSession forgets a completed resumable session (TTL after finalize),
@@ -321,61 +329,73 @@ func (d *daemon) repFor(obj trace.ObjID) (ap.Rep, string) {
 	return d.cfg.defaultRep, d.cfg.defaultSpec
 }
 
-// countingConn counts bytes read and applies the idle read deadline.
+// countingConn counts bytes read and applies the idle read deadline. A
+// cut ends its reads for good: the drain cuts every connection, and a
+// newer connection claiming a session cuts the holder. mu serializes the
+// cut with the per-read deadline refresh, so a refresh can never undo it.
 type countingConn struct {
-	conn  net.Conn
+	net.Conn
 	idle  time.Duration
 	bytes int64
-	d     *daemon
+
+	mu      sync.Mutex
+	stopped bool // cut: every read times out at once
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
-	// Serialized against Shutdown's deadline poke so a drain can never be
-	// overwritten by a refreshed idle deadline.
-	c.d.mu.Lock()
-	if c.d.draining {
-		c.conn.SetReadDeadline(time.Now())
+	c.mu.Lock()
+	if c.stopped {
+		c.Conn.SetReadDeadline(time.Now())
 	} else if c.idle > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.idle))
+		c.Conn.SetReadDeadline(time.Now().Add(c.idle))
 	}
-	c.d.mu.Unlock()
-	n, err := c.conn.Read(p)
+	c.mu.Unlock()
+	n, err := c.Conn.Read(p)
 	c.bytes += int64(n)
 	return n, err
+}
+
+// cut makes the blocked read, and every later one, return a timeout.
+func (c *countingConn) cut() {
+	c.mu.Lock()
+	c.stopped = true
+	c.Conn.SetReadDeadline(time.Now())
+	c.mu.Unlock()
 }
 
 // writeJSON writes one JSON line to conn under the write timeout. Errors
 // are ignored: the client may already be gone (abort, drain), and both
 // summaries and acks are re-deliverable through the resume path.
 func (d *daemon) writeJSON(conn net.Conn, v any) {
-	wt := d.cfg.writeTimeout
-	if wt <= 0 {
-		wt = DefaultWriteTimeout
-	}
-	conn.SetWriteDeadline(time.Now().Add(wt))
+	conn.SetWriteDeadline(time.Now().Add(d.cfg.writeTimeout))
 	if b, err := json.Marshal(v); err == nil {
 		conn.Write(append(b, '\n'))
 	}
 }
 
-// handle runs one connection: decode the stream header, route to a plain
-// (connection-bound) or resumable session, feed the session's queue, and
-// deliver the summary or park the session when the connection dies early.
-func (d *daemon) handle(conn net.Conn) {
+// handle runs one connection, plain or resumable, down one path: read the
+// stream header and hello, claim the session (a new one for a plain
+// stream), feed its queue, then take the edge that ends this connection's
+// hold on it, and write the summary unless the session parked.
+func (d *daemon) handle(cc *countingConn, ord int64) {
+	conn := cc.Conn
 	defer func() {
 		conn.Close()
 		d.mu.Lock()
-		delete(d.conns, conn)
+		delete(d.conns, cc)
 		d.mu.Unlock()
 	}()
 	obsConns.Inc()
 	obsActive.Add(1)
 	defer obsActive.Add(-1)
+	defer func() { obsBytes.Add(uint64(cc.bytes)) }()
 
-	cr := &countingConn{conn: conn, idle: d.cfg.idleTimeout, d: d}
-	defer func() { obsBytes.Add(uint64(cr.bytes)) }()
-
-	dec, err := wire.NewDecoder(cr)
+	sid := ""
+	dec, err := wire.NewDecoder(cc)
+	if err == nil {
+		dec.SetResync(d.cfg.resync)
+		sid, err = dec.ReadHello()
+	}
 	if err != nil {
 		d.cfg.logger.Printf("conn %s: handshake failed: %v", conn.RemoteAddr(), err)
 		d.failed.Add(1)
@@ -383,98 +403,29 @@ func (d *daemon) handle(conn net.Conn) {
 		d.writeJSON(conn, wire.Summary{Error: err.Error()})
 		return
 	}
-	dec.SetResync(d.cfg.resync)
-	sid, err := dec.ReadHello()
-	if err != nil {
-		d.cfg.logger.Printf("conn %s: hello failed: %v", conn.RemoteAddr(), err)
-		d.failed.Add(1)
-		obsSessions.Inc()
-		d.writeJSON(conn, wire.Summary{Error: err.Error()})
-		return
-	}
-
 	tenant := dec.Tenant()
 	if tenant == "" {
 		tenant = fleet.DefaultTenant
 	}
-
-	if sid == "" {
-		// Plain stream: the session lives and dies with this connection.
-		release, aerr := d.sched.Admit(tenant)
-		if aerr != nil {
-			d.rejectBusy(conn, "", tenant, aerr)
-			return
-		}
-		s := d.newSession("", tenant, nil)
-		s.admit = release
-		s.logf("connected (%s, tenant %q)", conn.RemoteAddr(), tenant)
-		s.setConn(conn)
-		dec.SetObs(s.scope)
-		th := d.sched.Throttle(tenant)
-		s.mu.Lock()
-		s.dec = dec
-		s.th = th
-		s.mu.Unlock()
-		err := d.readLoop(s, dec, th)
-		d.classifyEnd(s, err)
-		sum := s.finalize()
-		d.writeJSON(conn, sum)
-		s.logf("done: %d events, %d races, clean=%v degraded=%v err=%q",
-			sum.Events, sum.Races, sum.Clean, sum.Degraded, sum.Error)
+	th := d.sched.Throttle(tenant)
+	s, attached, err := d.claim(sid, tenant, cc, dec, th, ord)
+	switch {
+	case isBusy(err):
+		d.rejectBusy(conn, sid, tenant, err)
 		return
-	}
-
-	// Resumable stream: route to a (possibly existing) session.
-	s, resumed, err := d.routeSession(sid, tenant, dec)
-	if err != nil {
-		if isBusy(err) {
-			d.rejectBusy(conn, sid, tenant, err)
-			return
-		}
+	case err != nil:
 		d.cfg.logger.Printf("conn %s: %v", conn.RemoteAddr(), err)
 		d.writeJSON(conn, wire.Summary{SessionID: sid, Error: err.Error()})
 		return
-	}
-	if s.isCompleted() {
+	case !attached:
 		// Late reconnect to a finished session: re-deliver its summary.
-		sum := s.waitSummary()
+		d.writeJSON(conn, s.waitSummary())
 		s.logf("summary re-delivered to %s", conn.RemoteAddr())
-		d.writeJSON(conn, sum)
 		return
 	}
-	if resumed {
-		s.logf("resumed by %s (replay expected from chunk %d)", conn.RemoteAddr(), nextChunk(dec))
-	} else {
-		s.logf("connected (%s)", conn.RemoteAddr())
-	}
-	s.setConn(conn)
-	// Ack accepted chunks on the return path so the client can trim its
-	// resend buffer. Written from this (the only) writer goroutine.
-	dec.OnChunk = func(acked uint64) {
-		d.writeJSON(conn, map[string]uint64{"ack": acked})
-	}
-
-	th := d.sched.Throttle(tenant)
-	s.mu.Lock()
-	s.th = th
-	s.mu.Unlock()
-	err = d.readLoop(s, dec, th)
-	if clean, _ := endOfStream(err, dec); clean {
-		s.clean.Store(true)
-		sum := s.finalize()
-		d.writeJSON(conn, sum)
-		s.logf("done: %d events, %d races, clean=%v degraded=%v resumes=%d err=%q",
-			sum.Events, sum.Races, sum.Clean, sum.Degraded, sum.Resumes, sum.Error)
+	if s.detach(d.readLoop(s, dec, th)) {
 		return
 	}
-	if !d.isDraining() && connLost(err) {
-		// The connection died mid-stream: park and wait for a resume.
-		s.setConn(nil)
-		if s.park() {
-			return
-		}
-	}
-	d.classifyEnd(s, err)
 	sum := s.finalize()
 	d.writeJSON(conn, sum)
 	s.logf("done: %d events, %d races, clean=%v degraded=%v resumes=%d err=%q",
@@ -489,42 +440,46 @@ func nextChunk(dec *wire.Decoder) uint64 {
 	return 0
 }
 
-// routeSession finds or creates the resumable session for sid. A parked
-// session is re-attached: the new connection's decoder adopts the stream
-// state (interning table, chunk cursor) of the dead connection's decoder,
-// so replayed chunks deduplicate and fresh chunks decode correctly. If the
-// id is still attached to a live connection, that connection is poked and
-// given a moment to park (covers half-dead TCP peers the client already
-// gave up on); a second live claim loses.
-func (d *daemon) routeSession(sid, tenant string, dec *wire.Decoder) (s *session, resumed bool, err error) {
+// claimWait bounds how long a connection waits for the older connection
+// it cut to let go of the session.
+const claimWait = 2 * time.Second
+
+// claim routes a connection to its session and attaches it. A plain stream
+// (no sid) or an unknown sid gets a new, admitted session by the connect
+// edge; the sid is published under d.mu, so two racing hellos cannot both
+// create it. A parked session is resumed. A session held by an older
+// connection, perhaps a half-dead peer the client already gave up on, is
+// reclaimed: the holder is cut and the claimant waits on the broadcast for
+// its evict edge, for at most claimWait. A claimant older than the holder
+// is the stale one and loses at once, leaving the live reader alone. A
+// completed session comes back unattached, for summary re-delivery.
+func (d *daemon) claim(sid, tenant string, cc *countingConn, dec *wire.Decoder, th *fleet.Throttle, ord int64) (s *session, attached bool, err error) {
 	d.mu.Lock()
-	s, ok := d.sessions[sid]
-	if !ok {
+	if s = d.sessions[sid]; s == nil {
 		if d.draining {
 			d.mu.Unlock()
-			return nil, false, fmt.Errorf("draining: session %q rejected", sid)
+			return nil, false, errors.New("draining: no new sessions")
 		}
-		// Admission happens under d.mu so two racing hellos for a new sid
-		// can never both reserve a slot for it. Resumes below bypass it:
-		// a parked session is already resident, and shedding a reconnect
-		// would strand detection state the daemon still holds.
-		release, aerr := d.sched.Admit(tenant)
-		if aerr != nil {
+		// Admission happens under d.mu with the publish. Resumes bypass
+		// it: a parked session is already resident, and shedding a
+		// reconnect would strand detection state the daemon still holds.
+		release, err := d.sched.Admit(tenant)
+		if err != nil {
 			d.mu.Unlock()
-			return nil, false, aerr
+			return nil, false, err
 		}
 		s = d.newSession(sid, tenant, nil)
 		s.admit = release
-		d.sessions[sid] = s
-		d.mu.Unlock()
-		dec.SetObs(s.scope)
-		s.mu.Lock()
-		s.dec = dec
-		if s.dur != nil {
-			dec.OnFrameAccepted = s.dur.hook(dec)
+		if sid != "" {
+			d.sessions[sid] = s
 		}
+		s.mu.Lock()
+		s.attach(cc, dec, th, ord)
+		s.transition(stateAttached, causeConnect)
 		s.mu.Unlock()
-		return s, false, nil
+		d.mu.Unlock()
+		s.logf("connected (%s, tenant %q)", cc.RemoteAddr(), tenant)
+		return s, true, nil
 	}
 	d.mu.Unlock()
 	if s.tenant != tenant {
@@ -535,43 +490,40 @@ func (d *daemon) routeSession(sid, tenant string, dec *wire.Decoder) (s *session
 			sid, s.tenant, tenant)
 	}
 
-	deadline := time.Now().Add(2 * time.Second)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var giveUp <-chan time.Time
 	for {
-		s.mu.Lock()
-		switch s.state {
-		case stateParked:
-			if s.ttl != nil && !s.ttl.Stop() {
-				// The TTL already fired; expiry is finalizing concurrently.
-				// Treat as completed: the caller re-delivers the summary.
-				s.mu.Unlock()
-				s.waitSummary()
-				return s, true, nil
-			}
-			s.ttl = nil
-			dec.AdoptState(s.dec)
-			dec.SetObs(s.scope)
-			s.dec = dec
-			if s.dur != nil {
-				dec.OnFrameAccepted = s.dur.hook(dec)
-			}
-			s.state = stateAttached
+		switch {
+		case s.state == stateParked:
+			s.attach(cc, dec, th, ord)
+			s.transition(stateAttached, causeResume)
 			s.resumes++
-			s.mu.Unlock()
 			obsResumes.Inc()
+			s.logf("resumed by %s (replay expected from chunk %d)", cc.RemoteAddr(), nextChunk(dec))
 			return s, true, nil
-		case stateCompleted:
-			s.mu.Unlock()
-			return s, true, nil
-		default: // stateAttached
-			old := s.conn
-			s.mu.Unlock()
-			if time.Now().After(deadline) {
-				return nil, false, fmt.Errorf("session %q is attached to another connection", sid)
-			}
-			if old != nil {
-				old.SetReadDeadline(time.Now()) // force the stale reader out
-			}
-			time.Sleep(20 * time.Millisecond)
+		case s.state == stateCompleted:
+			return s, false, nil
+		case ord < s.ord:
+			return nil, false, fmt.Errorf("session %q is attached to a newer connection", sid)
+		}
+		if !s.evicting && s.conn != nil {
+			s.evicting = true
+			s.conn.cut()
+		}
+		if giveUp == nil {
+			t := time.NewTimer(claimWait)
+			defer t.Stop()
+			giveUp = t.C
+		}
+		changed := s.changed
+		s.mu.Unlock()
+		select {
+		case <-changed:
+			s.mu.Lock()
+		case <-giveUp:
+			s.mu.Lock()
+			return nil, false, fmt.Errorf("session %q is attached to another connection", sid)
 		}
 	}
 }
@@ -649,14 +601,6 @@ func (d *daemon) readLoop(s *session, dec *wire.Decoder, th *fleet.Throttle) err
 	}
 }
 
-// endOfStream reports whether err is a clean end (end-of-stream frame).
-func endOfStream(err error, dec *wire.Decoder) (clean, eof bool) {
-	if errors.Is(err, io.EOF) {
-		return dec.Clean(), true
-	}
-	return false, false
-}
-
 // connLost reports whether err looks like a lost connection (resumable)
 // rather than stream corruption (not worth resuming: the client would
 // replay the same bytes).
@@ -671,31 +615,6 @@ func connLost(err error) bool {
 		return true // peer aborted (crash, or closed with our acks unread)
 	}
 	return isTimeout(err)
-}
-
-// classifyEnd records how the stream ended on the session: a clean end
-// frame sets Clean, a drain cut is logged but not an error, anything else
-// becomes the summary error.
-func (d *daemon) classifyEnd(s *session, err error) {
-	switch {
-	case err == nil:
-		return
-	case errors.Is(err, io.EOF):
-		s.clean.Store(s.cleanOf())
-	case isTimeout(err) && d.isDraining():
-		obsDrainCuts.Inc()
-		s.logf("drain: stopped reading mid-stream")
-	default:
-		s.setReadErr(err.Error())
-		s.logf("read: %v", err)
-	}
-}
-
-// cleanOf reads the current decoder's clean flag under mu.
-func (s *session) cleanOf() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec != nil && s.dec.Clean()
 }
 
 // isTimeout reports whether err is a deadline expiry.

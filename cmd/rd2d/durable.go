@@ -153,7 +153,7 @@ func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 // openDurSession creates the state dir for a brand-new durable session,
 // discarding any stale leftovers under the same id (a fresh session with a
 // reused sid supersedes whatever a previous life left behind — resident
-// sessions never reach here, routeSession resumes them).
+// sessions never reach here, claim resumes them).
 func (d *daemon) openDurSession(sid, tenant string) (*durSession, error) {
 	dir := filepath.Join(d.cfg.stateDir, sanitizeSID(sid))
 	if err := os.RemoveAll(dir); err != nil {
@@ -175,18 +175,11 @@ func (d *daemon) openDurSession(sid, tenant string) (*durSession, error) {
 		d:      d,
 		sid:    sid,
 		dir:    dir,
-		every:  d.ckptEvery(),
+		every:  d.cfg.ckptEvery,
 		fsync:  d.cfg.fsyncMode,
 		wal:    wal,
 		walOff: int64(len(hdr)),
 	}, nil
-}
-
-func (d *daemon) ckptEvery() int {
-	if d.cfg.ckptEvery > 0 {
-		return d.cfg.ckptEvery
-	}
-	return DefaultCkptEvery
 }
 
 // hook returns the decoder's OnFrameAccepted callback: append the accepted
@@ -812,9 +805,6 @@ func (d *daemon) rehydrateOne(dir string) {
 		return
 	}
 	ttl := d.cfg.resumeTTL
-	if ttl <= 0 {
-		ttl = DefaultResumeTTL
-	}
 	age := time.Since(fi.ModTime())
 	if sfi, err := os.Stat(filepath.Join(dir, "snap.ckpt")); err == nil {
 		if sage := time.Since(sfi.ModTime()); sage < age {
@@ -893,7 +883,7 @@ func (d *daemon) rehydrateOne(dir string) {
 	// lastCkpt is primed before the runner starts: replay republishes
 	// boundaries and the runner may legitimately checkpoint mid-replay once
 	// the cadence from the snapshot's position says so.
-	ds := &durSession{d: d, sid: sid, dir: dir, every: d.ckptEvery(), fsync: d.cfg.fsyncMode,
+	ds := &durSession{d: d, sid: sid, dir: dir, every: d.cfg.ckptEvery, fsync: d.cfg.fsyncMode,
 		lastCkpt: restore.meta.Events}
 	restore.dur = ds
 	s := d.newSession(sid, tenant, restore)
@@ -929,8 +919,8 @@ func (d *daemon) rehydrateOne(dir string) {
 	s.mu.Lock()
 	s.dec = dec // resume connections adopt interning/chunk state from here
 	s.resumes = restore.meta.Resumes
+	s.transition(stateParked, causeRehydrate)
 	s.mu.Unlock()
-	s.park()
 	obsCkptRestores.Inc()
 	s.logf("rehydrated from %s: %d events checkpointed, tail replay=%v", dir, restore.meta.Events, tail)
 }

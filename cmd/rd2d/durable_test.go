@@ -70,27 +70,17 @@ func severInto(t *testing.T, addr string, data []byte) {
 	io.Copy(io.Discard, conn)
 }
 
-// waitParked blocks until sid's session is parked with a drained queue,
-// plus a beat for the worker to finish its in-flight event and checkpoint.
-func waitParked(t *testing.T, d *daemon, sid string) {
+// waitCaughtUp blocks until sid's session is parked and its runner has
+// stamped every event the read loop decoded: the runner takes checkpoints
+// only as it steps events, so after this it writes no more state. The
+// stamp count is a span counter, so the caller enables obs before the
+// session starts.
+func waitCaughtUp(t *testing.T, d *daemon, sid string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		d.mu.Lock()
-		s := d.sessions[sid]
-		d.mu.Unlock()
-		if s != nil {
-			s.mu.Lock()
-			parked := s.state == stateParked
-			s.mu.Unlock()
-			if parked && len(s.queue) == 0 {
-				time.Sleep(100 * time.Millisecond)
-				return
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("session never parked")
+	s := waitState(t, d, sid, stateParked)
+	waitFor(t, "the runner to stamp every decoded event", func() bool {
+		return s.ob.stamp.Items() == uint64(s.decEvents.Load())
+	})
 }
 
 func waitFile(t *testing.T, path string) {
@@ -125,6 +115,7 @@ func waitGone(t *testing.T, path string) {
 func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sdir, sid string)) {
 	tr, _ := racyTrace(t)
 	const sid = "dur"
+	obs.SetEnabled(true) // waitCaughtUp counts stamped events
 	modeCfg := func(c *daemonConfig) {
 		switch mode {
 		case "fleet":
@@ -180,7 +171,7 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 		c.reporter = core.NewReportWriter(rep1)
 	})
 	severInto(t, d1.Addr(), data[:cut])
-	waitParked(t, d1, sid)
+	waitCaughtUp(t, d1, sid)
 	sdir := filepath.Join(stateDir, sid)
 	waitFile(t, filepath.Join(sdir, "wal"))
 	waitFile(t, filepath.Join(sdir, "snap.ckpt"))
@@ -340,6 +331,7 @@ func TestDurableExpiredStateGC(t *testing.T) {
 	tr, wantRaces := racyTrace(t)
 	const sid = "dur-expired"
 	data := encodeSession(t, tr, sid, 256)
+	obs.SetEnabled(true) // waitCaughtUp counts stamped events
 
 	stateDir := t.TempDir()
 	d1, _ := testDaemonCfg(t, nil, func(c *daemonConfig) {
@@ -349,7 +341,7 @@ func TestDurableExpiredStateGC(t *testing.T) {
 		c.resumeTTL = time.Hour
 	})
 	severInto(t, d1.Addr(), data[:len(data)*3/5])
-	waitParked(t, d1, sid)
+	waitCaughtUp(t, d1, sid)
 	sdir := filepath.Join(stateDir, sid)
 	waitFile(t, filepath.Join(sdir, "wal"))
 	// Crash d1, then age the state two hours into the past.

@@ -165,7 +165,7 @@ func TestDaemonParksOnConnectionReset(t *testing.T) {
 	tr, _ := racyTrace(t)
 	const sid, frameSize = "reset", 96
 	d, done := testDaemon(t, nil)
-	prefix, chunks := sessionLayout(t, tr, frameSize, sid)
+	prefix, chunks := sessionLayout(t, tr, frameSize, sid, "")
 	data := encodeSession(t, tr, sid, frameSize)
 
 	conn, err := net.Dial("tcp", d.Addr())
@@ -184,7 +184,7 @@ func TestDaemonParksOnConnectionReset(t *testing.T) {
 	conn.(*net.TCPConn).SetLinger(0) // Close sends RST, not FIN
 	conn.Close()
 
-	waitParked(t, d, sid)
+	waitState(t, d, sid, stateParked)
 	d.Shutdown()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
@@ -305,34 +305,25 @@ func TestDaemonResyncCorruptionVariants(t *testing.T) {
 type severProxy struct {
 	ln  net.Listener
 	d   *daemon
-	sid string
 	cut int64
 
 	mu      sync.Mutex
 	severed bool
 }
 
-func newSeverProxy(t *testing.T, d *daemon, sid string, cut int64) *severProxy {
+func newSeverProxy(t *testing.T, d *daemon, cut int64) *severProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &severProxy{ln: ln, d: d, sid: sid, cut: cut}
+	p := &severProxy{ln: ln, d: d, cut: cut}
 	t.Cleanup(func() { ln.Close() })
 	go p.serve()
 	return p
 }
 
 func (p *severProxy) addr() string { return p.ln.Addr().String() }
-
-// routed reports whether the daemon holds a session for the proxied sid.
-func (p *severProxy) routed() bool {
-	p.d.mu.Lock()
-	defer p.d.mu.Unlock()
-	_, ok := p.d.sessions[p.sid]
-	return ok
-}
 
 func (p *severProxy) serve() {
 	for {
@@ -355,18 +346,21 @@ func (p *severProxy) handle(client net.Conn) {
 	p.severed = true
 	p.mu.Unlock()
 
+	acked := &firstWriteSignal{w: client, first: make(chan struct{})}
 	go func() { // daemon -> client (acks, summary)
-		io.Copy(client, server)
+		io.Copy(acked, server)
 		client.Close()
 	}()
 	if first {
 		io.CopyN(server, client, p.cut)
-		// Sever only after the daemon has routed this connection's hello.
-		// Until then the session does not exist, and the client's
-		// reconnect could reach the daemon first and open it afresh,
-		// leaving nothing to resume.
-		for deadline := time.Now().Add(10 * time.Second); !p.routed() && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
+		// Sever only after the daemon has acked a chunk of this connection,
+		// which it does only once the hello is routed. Until then the
+		// session does not exist, and the client's reconnect could reach
+		// the daemon first and open it afresh, leaving nothing to resume.
+		// Every cut covers at least the first chunk.
+		select {
+		case <-acked.first:
+		case <-time.After(10 * time.Second):
 		}
 		client.Close()
 		server.Close()
@@ -376,34 +370,17 @@ func (p *severProxy) handle(client net.Conn) {
 	server.Close()
 }
 
-// sessionLayout encodes tr as a resumable session stream and returns the
-// on-wire length of the header+hello prefix and of each chunk, so tests can
-// compute the exact byte offset of every chunk boundary.
-func sessionLayout(t *testing.T, tr *trace.Trace, frameSize int, sid string) (prefix int, chunks []int) {
+// sessionLayout returns the on-wire length of the header+hello prefix and
+// of each chunk of tr encoded as a resumable session of the given tenant (""
+// for none), so tests can compute the exact byte offset of every chunk
+// boundary.
+func sessionLayout(t *testing.T, tr *trace.Trace, frameSize int, sid, tenant string) (prefix int, chunks []int) {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := wire.NewEncoder(&buf)
-	enc.FrameSize = frameSize
-	if err := enc.SetSession(sid); err != nil {
-		t.Fatal(err)
+	st := encodeStream(t, tr, sid, tenant, frameSize)
+	for _, c := range st.chunks {
+		chunks = append(chunks, len(c))
 	}
-	enc.OnFrame = func(seq uint64, frame []byte) error {
-		chunks = append(chunks, len(frame))
-		return nil
-	}
-	for i := range tr.Events {
-		if err := enc.WriteEvent(&tr.Events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, n := range chunks {
-		total += n
-	}
-	return buf.Len() - total, chunks
+	return len(st.prefix), chunks
 }
 
 // raceLines extracts the sorted race records (notes excluded) from a JSONL
@@ -499,7 +476,7 @@ func diffResumeCorpus(t *testing.T, path string) {
 		frameSize = 64
 	}
 	const sid = "diff"
-	prefix, chunks := sessionLayout(t, tr, frameSize, sid)
+	prefix, chunks := sessionLayout(t, tr, frameSize, sid, "")
 
 	// Baseline: unsevered run.
 	var baseReport bytes.Buffer
@@ -529,7 +506,7 @@ func diffResumeCorpus(t *testing.T, path string) {
 		cut += int64(chunkLen)
 		var report bytes.Buffer
 		d, done := testDaemon(t, &report)
-		proxy := newSeverProxy(t, d, sid, cut)
+		proxy := newSeverProxy(t, d, cut)
 
 		rc, err := wire.DialSession(proxy.addr(), sid, 2*time.Second)
 		if err != nil {

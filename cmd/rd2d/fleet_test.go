@@ -9,6 +9,7 @@ package main
 // no lost or duplicated verdicts.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -264,7 +265,7 @@ func TestFleetParkedSessionsGoroutineBudget(t *testing.T) {
 	// close. All sids share one length so one layout fits every session.
 	const frameSize = 96
 	layoutSid := sidForPark(0)
-	prefix, chunks := sessionLayout(t, tr, frameSize, layoutSid)
+	prefix, chunks := sessionLayout(t, tr, frameSize, layoutSid, "")
 	if len(chunks) < 2 {
 		t.Fatalf("trace encodes to %d chunks at frame size %d, need >= 2", len(chunks), frameSize)
 	}
@@ -291,24 +292,15 @@ func TestFleetParkedSessionsGoroutineBudget(t *testing.T) {
 		if _, err := conn.Write(buf.Bytes()[:prefix+chunks[0]]); err != nil {
 			t.Fatalf("session %d: write: %v", i, err)
 		}
+		// The ack proves the daemon routed the hello and read the chunk.
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+			t.Fatalf("session %d: waiting for the first ack: %v", i, err)
+		}
 		conn.Close()
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		parked := 0
-		for _, in := range d.sessionInfos() {
-			if in.State == "parked" {
-				parked++
-			}
-		}
-		if parked == sessions {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d sessions parked, want %d", parked, sessions)
-		}
-		time.Sleep(5 * time.Millisecond)
+	for i := 0; i < sessions; i++ {
+		waitState(t, d, sidForPark(i), stateParked)
 	}
 
 	if got := settledGoroutines(); got > baseline+sessions/2 {
@@ -378,9 +370,10 @@ func TestFleetMultiTenantChaos(t *testing.T) {
 		c.idleTimeout = time.Minute
 	})
 
-	// Chunk layout (all sids share one length) for mid-stream cut offsets.
+	// Chunk layout (all sids and tenants share one length) for mid-stream
+	// cut offsets.
 	const frameSize = 128
-	prefix, chunks := sessionLayout(t, tr, frameSize, sidForChaos(tenants[0], 0))
+	prefix, chunks := sessionLayout(t, tr, frameSize, sidForChaos(tenants[0], 0), tenants[0])
 	if len(chunks) < 3 {
 		t.Fatalf("trace encodes to %d chunks, need >= 3 for varied cuts", len(chunks))
 	}
@@ -403,7 +396,7 @@ func TestFleetMultiTenantChaos(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				sid := sidForChaos(tn, i)
-				proxy := newSeverProxy(t, d, sid, cutAt(i))
+				proxy := newSeverProxy(t, d, cutAt(i))
 				rc, err := wire.DialSession(proxy.addr(), sid, 2*time.Second)
 				if err != nil {
 					errs <- fmt.Errorf("%s: dial: %w", sid, err)

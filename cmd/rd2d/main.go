@@ -61,7 +61,7 @@ func run(args []string) int {
 	maxRaces := fs.Int("max-races", 100, "maximum races retained per session")
 	queueLen := fs.Int("queue", 1024, "per-connection ingest queue depth in events")
 	idleTimeout := fs.Duration("idle-timeout", 30*time.Second, "per-read idle timeout (0 disables)")
-	writeTimeout := fs.Duration("write-timeout", DefaultWriteTimeout, "summary/ack write deadline (also applied to the -report writer when it supports deadlines)")
+	writeTimeout := fs.Duration("write-timeout", DefaultWriteTimeout, "summary/ack write deadline, also applied to the -report writer when it supports deadlines (0 = the default)")
 	resumeTTL := fs.Duration("resume-ttl", DefaultResumeTTL, "how long a resumable session survives a lost connection")
 	resync := fs.Bool("resync", false, "corruption resync: skip corrupt frames and continue (session reports degraded)")
 	stateDir := fs.String("statedir", "", "persist resumable sessions here (crash-safe checkpoint/restore across daemon restarts)")
@@ -177,35 +177,19 @@ func run(args []string) int {
 		obs.SetEnabled(true)
 	}
 
-	var reportFile *os.File
-	if *reportPath != "" {
-		if *stateDir != "" {
-			// Durable mode appends: prior sessions' records survive the
-			// restart, and scanReport recovers each session's high-water
-			// seq (truncating a torn last line) so rehydrated reporters
-			// suppress replayed records instead of duplicating them.
-			seqs, serr := scanReport(*reportPath)
-			if serr != nil {
-				logger.Printf("report: %v", serr)
-				return 2
-			}
-			cfg.reportSeqs = seqs
-			reportFile, err = os.OpenFile(*reportPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		} else {
-			reportFile, err = os.Create(*reportPath)
-		}
-		if err != nil {
-			logger.Printf("%v", err)
-			return 2
-		}
-		defer reportFile.Close()
-		cfg.reporter = core.NewReportWriter(&deadlineWriter{f: reportFile, d: *writeTimeout})
-	}
-
 	d, err := newDaemon(*listen, cfg)
 	if err != nil {
 		logger.Printf("%v", err)
 		return 2
+	}
+	if *reportPath != "" {
+		w, err := d.openReport(*reportPath)
+		if err != nil {
+			logger.Printf("report: %v", err)
+			d.ln.Close()
+			return 2
+		}
+		defer w.f.Close()
 	}
 	if *httpAddr != "" {
 		srv, err := obs.ServeHandler(*httpAddr, d.httpHandler())
@@ -247,12 +231,12 @@ func run(args []string) int {
 		return 2
 	}
 	// All sessions drained: the report is complete.
-	if cfg.reporter != nil {
-		if err := cfg.reporter.Err(); err != nil {
+	if d.cfg.reporter != nil {
+		if err := d.cfg.reporter.Err(); err != nil {
 			logger.Printf("report: %v", err)
 			return 2
 		}
-		logger.Printf("%d race records written to %s", cfg.reporter.Count(), *reportPath)
+		logger.Printf("%d race records written to %s", d.cfg.reporter.Count(), *reportPath)
 	}
 	logger.Printf("drained: %d sessions, %d events, %d races, %d failed, %d degraded",
 		d.sessionSeq.Load(), d.totalEvents.Load(), d.totalRaces.Load(), d.failed.Load(), d.degraded.Load())
@@ -377,6 +361,31 @@ func parseInject(spec string, cfg *daemonConfig) error {
 	return nil
 }
 
+// openReport opens the JSONL race report at path and makes it the
+// daemon's reporter, writing under the resolved write timeout. Durable mode
+// appends: prior sessions' records survive the restart, and scanReport
+// recovers each session's high-water seq (truncating a torn last line) so
+// rehydrated reporters suppress replayed records instead of duplicating
+// them.
+func (d *daemon) openReport(path string) (*deadlineWriter, error) {
+	flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+	if d.cfg.stateDir != "" {
+		seqs, err := scanReport(path)
+		if err != nil {
+			return nil, err
+		}
+		d.cfg.reportSeqs = seqs
+		flags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	w := &deadlineWriter{f: f, d: d.cfg.writeTimeout}
+	d.cfg.reporter = core.NewReportWriter(w)
+	return w, nil
+}
+
 // deadlineWriter applies the daemon write timeout to the JSONL report
 // writer. Regular files do not support write deadlines (SetWriteDeadline
 // returns ErrNoDeadline) and are written as-is; pipes and sockets — where
@@ -388,9 +397,7 @@ type deadlineWriter struct {
 }
 
 func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if w.d > 0 {
-		w.f.SetWriteDeadline(time.Now().Add(w.d)) // best-effort; see above
-	}
+	w.f.SetWriteDeadline(time.Now().Add(w.d)) // best-effort; see above
 	return w.f.Write(p)
 }
 

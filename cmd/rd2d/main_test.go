@@ -8,12 +8,14 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/specs"
 	"repro/internal/trace"
@@ -186,7 +188,8 @@ func TestDaemonConcurrentSessions(t *testing.T) {
 func TestDaemonDrainMidStream(t *testing.T) {
 	tr, wantRaces := racyTrace(t)
 	var report bytes.Buffer
-	d, done := testDaemon(t, &report)
+	obs.SetEnabled(true) // the wait below counts stamped events
+	d, done := testDaemonCfg(t, &report, func(c *daemonConfig) { c.obsRoot = obs.NewRegistry() })
 
 	conn, err := net.Dial("tcp", d.Addr())
 	if err != nil {
@@ -205,8 +208,12 @@ func TestDaemonDrainMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Let the daemon ingest what was flushed, then drain.
-	time.Sleep(500 * time.Millisecond)
+	// Let the daemon ingest what was flushed, then drain: once the runner
+	// has stamped every event, the read loop has read every byte.
+	waitFor(t, "the runner to stamp every flushed event", func() bool {
+		ss := trackedSessions(d)
+		return len(ss) == 1 && ss[0].ob.stamp.Items() == uint64(tr.Len())
+	})
 	d.Shutdown()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
@@ -238,15 +245,20 @@ func TestDaemonDrainMidStream(t *testing.T) {
 	}
 }
 
-// firstWriteSignal is a report sink that closes first on its first write.
+// firstWriteSignal is a writer that closes first on its first write and
+// passes every write on to w (discarding it when w is nil).
 type firstWriteSignal struct {
+	w     io.Writer
 	once  sync.Once
 	first chan struct{}
 }
 
 func (w *firstWriteSignal) Write(p []byte) (int, error) {
 	w.once.Do(func() { close(w.first) })
-	return len(p), nil
+	if w.w == nil {
+		return len(p), nil
+	}
+	return w.w.Write(p)
 }
 
 // racyPrefix returns the shortest prefix of tr on which the offline serial
@@ -577,6 +589,31 @@ func TestSessionInfosWhileStreaming(t *testing.T) {
 	d.Shutdown()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestZeroConfigResolvesDefaults: newDaemon resolves every zero duration
+// and cadence to its default once, and -write-timeout 0 means the default
+// deadline for the JSONL report writer as for acks and summaries, never no
+// deadline.
+func TestZeroConfigResolvesDefaults(t *testing.T) {
+	d, err := newDaemon("127.0.0.1:0", daemonConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.ln.Close()
+	if d.cfg.writeTimeout != DefaultWriteTimeout || d.cfg.resumeTTL != DefaultResumeTTL ||
+		d.cfg.ckptEvery != DefaultCkptEvery {
+		t.Fatalf("resolved write timeout %v, resume ttl %v, ckpt cadence %d; want the defaults",
+			d.cfg.writeTimeout, d.cfg.resumeTTL, d.cfg.ckptEvery)
+	}
+	w, err := d.openReport(filepath.Join(t.TempDir(), "races.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.f.Close()
+	if w.d != DefaultWriteTimeout || d.cfg.reporter == nil {
+		t.Fatalf("report writer deadline %v, want %v", w.d, DefaultWriteTimeout)
 	}
 }
 

@@ -9,6 +9,10 @@ package main
 // and a reconnecting client resumes it by replaying unacknowledged chunks,
 // which the decoder deduplicates by sequence number.
 //
+// Every session, plain or resumable, moves through one lifecycle: a small
+// table of edges between three states, taken only by transition, under
+// the session's lock (DESIGN.md §9).
+//
 // Detection runs through one session runner (run/step/finish below): the
 // per-event body, the checkpoint cut-point, supervision and the result
 // harvest exist once. Per-conn and -fleet sessions differ only in the
@@ -19,9 +23,12 @@ package main
 // killing the daemon.
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,12 +88,46 @@ func newSessObs(scope *obs.Registry) *sessObs {
 	}
 }
 
-// session states (guarded by session.mu).
+// Session states (guarded by session.mu, written only by transition).
+// stateNew is where a session sits while its creator sets it up: claim
+// attaches it in the critical section that creates it, and rehydration
+// parks it once its WAL is replayed.
 const (
-	stateAttached  = iota // a connection's read loop is feeding the queue
-	stateParked           // no connection; detection state held under TTL
-	stateCompleted        // summary finalized (stored for re-delivery)
+	stateNew       uint8 = iota
+	stateAttached        // a connection's read loop is feeding the queue
+	stateParked          // no connection; detection state held under the resume TTL
+	stateCompleted       // finalized; summary kept for re-delivery
 )
+
+// Edge causes.
+const (
+	causeConnect   uint8 = iota // a new session attached to its first connection
+	causeRehydrate              // restored from the state dir, awaiting its client
+	causeResume                 // a reconnect re-attached a parked session
+	causeSever                  // the connection was lost mid-stream
+	causeEvict                  // a newer connection for the same sid cut the holder
+	causeTTL                    // the resume TTL ran out while parked
+	causeDrain                  // the daemon is shutting down
+	causeEnd                    // the stream ended: end frame or stream error
+)
+
+// edge is one lifecycle step: from → to, for cause.
+type edge struct{ from, to, cause uint8 }
+
+// lifecycle is the transition table: every edge a session may take.
+// A session completes exactly once, as nothing leaves stateCompleted.
+var lifecycle = [...]edge{
+	{stateNew, stateAttached, causeConnect},
+	{stateNew, stateParked, causeRehydrate},
+	{stateParked, stateAttached, causeResume},
+	{stateAttached, stateParked, causeSever}, // resumable, not draining
+	{stateAttached, stateParked, causeEvict},
+	{stateAttached, stateCompleted, causeSever}, // plain, or draining
+	{stateAttached, stateCompleted, causeDrain},
+	{stateAttached, stateCompleted, causeEnd},
+	{stateParked, stateCompleted, causeTTL},
+	{stateParked, stateCompleted, causeDrain},
+}
 
 // DefaultResumeTTL is how long a parked session waits for its client.
 const DefaultResumeTTL = 30 * time.Second
@@ -149,21 +190,20 @@ type session struct {
 	decDegraded atomic.Bool
 	decAcked    atomic.Uint64 // last acked chunk + 1; 0 = none yet
 
-	mu      sync.Mutex
-	state   int
-	conn    pokeable        // current connection (attached), for liveness pokes
-	dec     *wire.Decoder   // decoder holding the stream's cross-conn state
-	th      *fleet.Throttle // current connection's ingest throttle
-	ttl     *time.Timer
-	resumes int
+	mu       sync.Mutex
+	state    uint8
+	edges    []edge        // every edge taken, in order
+	changed  chan struct{} // closed and replaced by every edge
+	conn     *countingConn // holding connection (attached), cut to evict it
+	ord      int64         // holding connection's accept ordinal
+	evicting bool          // a newer connection has cut the holder
+	dec      *wire.Decoder // decoder holding the stream's cross-conn state
+	th       *fleet.Throttle
+	resumes  int
 
-	finishOnce   sync.Once
 	summary      wire.Summary // immutable once final is closed
 	releaseGauge func()
 }
-
-// pokeable is the slice of net.Conn the session needs from its connection.
-type pokeable interface{ SetReadDeadline(time.Time) error }
 
 // newSession creates a session, gives it its detector, and starts the
 // driver of its runner. Every session gets its own metric scope ("session"
@@ -193,6 +233,7 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 		queue:      make(chan trace.Event, d.cfg.queueLen),
 		done:       make(chan struct{}),
 		final:      make(chan struct{}),
+		changed:    make(chan struct{}),
 		registered: map[trace.ObjID]bool{},
 		en:         hb.NewObs(scope),
 	}
@@ -424,56 +465,111 @@ func (s *session) finish() {
 	}
 }
 
-// setConn records the attached connection (for liveness pokes) under mu.
-func (s *session) setConn(c pokeable) {
-	s.mu.Lock()
-	s.conn = c
-	s.mu.Unlock()
-}
-
 // setReadErr records the stream error that ends the session, if no
 // detection error claims the summary first.
 func (s *session) setReadErr(msg string) { s.readErr.Store(msg) }
 
-// park detaches the session from its dead connection and starts the
-// resume TTL. It returns false when the daemon is draining — the caller
-// finalizes instead, so a drain never leaves work behind. The transition
-// is atomic with the drain check (d.mu) so Shutdown's parked-session sweep
-// can never miss it.
-func (s *session) park() bool {
-	s.d.mu.Lock()
-	if s.d.draining {
-		s.d.mu.Unlock()
+// transition is the one writer of s.state. It takes the edge to `to` for
+// cause c if the table allows it from the current state: the edge is
+// recorded, a park arms the resume TTL, and everyone waiting on s.changed
+// wakes. The caller holds s.mu. It reports false, changing nothing, when
+// the edge is not in the table: another edge got there first.
+func (s *session) transition(to, c uint8) bool {
+	e := edge{s.state, to, c}
+	if !slices.Contains(lifecycle[:], e) {
 		return false
 	}
-	s.mu.Lock()
-	if s.state == stateCompleted {
-		s.mu.Unlock()
-		s.d.mu.Unlock()
-		return false
+	s.edges = append(s.edges, e)
+	if to == stateParked {
+		n := len(s.edges)
+		time.AfterFunc(s.d.cfg.resumeTTL, func() { s.expire(n) })
+		obsParks.Inc()
 	}
-	s.state = stateParked
-	s.conn = nil
-	ttl := s.d.cfg.resumeTTL
-	if ttl <= 0 {
-		ttl = DefaultResumeTTL
-	}
-	s.ttl = time.AfterFunc(ttl, s.expire)
-	s.mu.Unlock()
-	s.d.mu.Unlock()
-	obsParks.Inc()
-	s.logf("parked (%d events so far, resume ttl %v)", s.decEvents.Load(), ttl)
+	s.state, s.evicting = to, false
+	close(s.changed)
+	s.changed = make(chan struct{})
 	return true
 }
 
-// expire fires when a parked session's TTL runs out with no reconnect.
-func (s *session) expire() {
+// attach hands the session to a connection's read loop. The connection's
+// decoder adopts the stream state of the previous connection's (a resume),
+// records into the session scope, appends accepted frames to the WAL before
+// they are acked (durable sessions), and acks chunks on this connection
+// (resumable sessions). The caller holds s.mu and takes the edge.
+func (s *session) attach(cc *countingConn, dec *wire.Decoder, th *fleet.Throttle, ord int64) {
+	if s.dec != nil {
+		dec.AdoptState(s.dec)
+	}
+	dec.SetObs(s.scope)
+	if s.dur != nil {
+		dec.OnFrameAccepted = s.dur.hook(dec)
+	}
+	if s.sid != "" {
+		dec.OnChunk = func(acked uint64) {
+			s.d.writeJSON(cc.Conn, map[string]uint64{"ack": acked})
+		}
+	}
+	s.conn, s.dec, s.th, s.ord = cc, dec, th, ord
+}
+
+// detach takes the edge that ends a connection's hold on the session, given
+// the error its read loop ended with: end on a clean end frame or a stream
+// error, drain when a drain cut the read, and sever (evict, when a newer
+// connection cut it) on a lost connection. A lost connection parks the
+// session when it is resumable and the daemon is not draining; every other
+// edge completes it, and the caller finalizes. The drain check and the edge
+// are one decision under d.mu, so the drain's sweep of parked sessions can
+// never miss one. It reports whether the session parked.
+func (s *session) detach(err error) (parked bool) {
+	var note string // logged once the locks are released
+	defer func() {
+		if note != "" {
+			s.logf("%s", note)
+		}
+	}()
+	s.d.mu.Lock()
+	defer s.d.mu.Unlock()
 	s.mu.Lock()
-	if s.state != stateParked {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	to, c := stateCompleted, causeEnd
+	switch {
+	case errors.Is(err, io.EOF) && s.dec.Clean():
+		s.clean.Store(true)
+	case isTimeout(err) && s.d.draining:
+		c, note = causeDrain, "drain: stopped reading mid-stream"
+		obsDrainCuts.Inc()
+	case !connLost(err):
+		note = "read: " + err.Error()
+		s.setReadErr(err.Error())
+	case s.sid != "" && !s.d.draining:
+		to, c = stateParked, causeSever
+		if s.evicting {
+			c = causeEvict
+		}
+		note = fmt.Sprintf("parked (%d events so far, resume ttl %v)", s.decEvents.Load(), s.d.cfg.resumeTTL)
+	default:
+		c = causeSever
+		if !errors.Is(err, io.EOF) { // an unclean EOF at a frame boundary is no error
+			note = "read: " + err.Error()
+			s.setReadErr(err.Error())
+		}
+	}
+	s.conn = nil
+	s.transition(to, c)
+	return to == stateParked
+}
+
+// expire is the TTL edge: a parked session whose client never came back
+// completes with what it analyzed. n is the length of the edge log when
+// the park that armed the TTL was taken: once the session has moved on
+// (resumed, drained, parked again) the timer is stale and takes no edge.
+func (s *session) expire(n int) {
+	s.mu.Lock()
+	ok := len(s.edges) == n && s.transition(stateCompleted, causeTTL)
+	s.mu.Unlock()
+	if !ok {
 		return
 	}
-	s.mu.Unlock()
 	obsExpired.Inc()
 	sum := s.finalize()
 	s.logf("resume ttl expired: %d events, %d races, clean=%v degraded=%v",
@@ -491,113 +587,99 @@ func (s *session) publishDecoder(dec *wire.Decoder) {
 	}
 }
 
-// finalize ends the session exactly once: close the queue, wait for the
-// runner, assemble the summary from detection results plus stream facts
-// (resync skips, resumes), do the daemon bookkeeping, and release the
-// active-session gauge. Every later (or concurrent) call waits and returns
-// the same summary. Callers must guarantee no read loop is feeding the
-// queue — clean end, parked, or drain-cut states all do.
+// finalize ends the session: close the queue, wait for the runner,
+// assemble the summary from detection results plus stream facts (resync
+// skips, resumes), do the daemon bookkeeping, and release the
+// active-session gauge. Only the caller that took the session's edge into
+// stateCompleted calls it, so it runs once, and no read loop is feeding
+// the queue any more.
 func (s *session) finalize() wire.Summary {
-	s.finishOnce.Do(func() {
-		s.mu.Lock()
-		s.state = stateCompleted
-		if s.ttl != nil {
-			s.ttl.Stop()
-			s.ttl = nil
-		}
-		s.mu.Unlock()
-		close(s.queue)
-		if s.entry != nil {
-			// Wake the fleet entry so an idle session's runner notices.
-			s.entry.Wake()
-		}
-		<-s.done
-		if s.entry != nil {
-			s.entry.Close()
-		}
-		if s.admit != nil {
-			s.admit()
-		}
-		if s.dur != nil {
-			// The session is final: its summary is in memory for
-			// re-delivery and its durability obligation is over.
-			s.dur.destroy()
-		}
+	close(s.queue)
+	if s.entry != nil {
+		// Wake the fleet entry so an idle session's runner notices.
+		s.entry.Wake()
+	}
+	<-s.done
+	if s.entry != nil {
+		s.entry.Close()
+	}
+	if s.admit != nil {
+		s.admit()
+	}
+	if s.dur != nil {
+		// The session is final: its summary is in memory for
+		// re-delivery and its durability obligation is over.
+		s.dur.destroy()
+	}
 
-		s.mu.Lock()
-		sum := wire.Summary{
-			Events:      s.events,
-			Races:       s.races,
-			Clean:       s.clean.Load(),
-			Resumes:     s.resumes,
-			SessionID:   s.sid,
-			ShardPanics: s.shardPanics,
-		}
-		if s.panicked {
-			sum.ShardPanics++ // the worker itself counts as a failed unit
-		}
-		if s.dec != nil {
-			sum.SkippedFrames = s.dec.SkippedFrames()
-			sum.SkippedBytes = s.dec.SkippedBytes()
-		}
-		sum.Degraded = s.degraded || sum.SkippedFrames > 0 || sum.SkippedBytes > 0
-		if s.procErr != nil {
-			sum.Error = s.procErr.Error()
-		} else if m, ok := s.readErr.Load().(string); ok && m != "" {
-			sum.Error = m
-		}
-		if s.sr != nil {
-			sum.Seq = s.sr.Seq()
-		}
-		s.summary = sum
-		s.mu.Unlock()
+	s.mu.Lock()
+	sum := wire.Summary{
+		Events:      s.events,
+		Races:       s.races,
+		Clean:       s.clean.Load(),
+		Resumes:     s.resumes,
+		SessionID:   s.sid,
+		ShardPanics: s.shardPanics,
+	}
+	if s.panicked {
+		sum.ShardPanics++ // the worker itself counts as a failed unit
+	}
+	if s.dec != nil {
+		sum.SkippedFrames = s.dec.SkippedFrames()
+		sum.SkippedBytes = s.dec.SkippedBytes()
+	}
+	sum.Degraded = s.degraded || sum.SkippedFrames > 0 || sum.SkippedBytes > 0
+	if s.procErr != nil {
+		sum.Error = s.procErr.Error()
+	} else if m, ok := s.readErr.Load().(string); ok && m != "" {
+		sum.Error = m
+	}
+	if s.sr != nil {
+		sum.Seq = s.sr.Seq()
+	}
+	s.summary = sum
+	s.mu.Unlock()
 
-		obsSessions.Inc()
-		s.ob.queue.Set(0) // queue drained; clear its contribution to the global sum
-		s.ob.events.Add(uint64(sum.Events))
-		s.ob.races.Add(uint64(sum.Races))
-		s.d.totalEvents.Add(int64(sum.Events))
-		s.d.totalRaces.Add(int64(sum.Races))
-		if sum.Error != "" {
-			s.d.failed.Add(1)
+	obsSessions.Inc()
+	s.ob.queue.Set(0) // queue drained; clear its contribution to the global sum
+	s.ob.events.Add(uint64(sum.Events))
+	s.ob.races.Add(uint64(sum.Races))
+	s.d.totalEvents.Add(int64(sum.Events))
+	s.d.totalRaces.Add(int64(sum.Races))
+	if sum.Error != "" {
+		s.d.failed.Add(1)
+	}
+	if sum.Degraded {
+		obsDegraded.Inc()
+		s.d.degraded.Add(1)
+		// Mark the shared JSONL report so its race records for this
+		// session are self-describingly incomplete.
+		if s.d.cfg.reporter != nil {
+			s.d.cfg.reporter.WriteNote(map[string]any{
+				"note":           "degraded",
+				"session":        s.name,
+				"seq":            sum.Seq,
+				"session_id":     s.sid,
+				"events":         sum.Events,
+				"races":          sum.Races,
+				"skipped_frames": sum.SkippedFrames,
+				"skipped_bytes":  sum.SkippedBytes,
+				"shard_panics":   sum.ShardPanics,
+			})
 		}
-		if sum.Degraded {
-			obsDegraded.Inc()
-			s.d.degraded.Add(1)
-			// Mark the shared JSONL report so its race records for this
-			// session are self-describingly incomplete.
-			if s.d.cfg.reporter != nil {
-				s.d.cfg.reporter.WriteNote(map[string]any{
-					"note":           "degraded",
-					"session":        s.name,
-					"seq":            sum.Seq,
-					"session_id":     s.sid,
-					"events":         sum.Events,
-					"races":          sum.Races,
-					"skipped_frames": sum.SkippedFrames,
-					"skipped_bytes":  sum.SkippedBytes,
-					"shard_panics":   sum.ShardPanics,
-				})
-			}
+	}
+	s.releaseGauge()
+	// Keep the completed session visible (summary re-delivery for
+	// resumable streams, a terminal /sessions row for operators), then
+	// forget it and detach its metric scope. Writes from stragglers
+	// keep rolling up into the global series after the drop.
+	time.AfterFunc(s.d.cfg.resumeTTL, func() {
+		if s.sid != "" {
+			s.d.dropSession(s.sid, s)
 		}
-		s.releaseGauge()
-		// Keep the completed session visible (summary re-delivery for
-		// resumable streams, a terminal /sessions row for operators), then
-		// forget it and detach its metric scope. Writes from stragglers
-		// keep rolling up into the global series after the drop.
-		linger := s.d.cfg.resumeTTL
-		if linger <= 0 {
-			linger = DefaultResumeTTL
-		}
-		time.AfterFunc(linger, func() {
-			if s.sid != "" {
-				s.d.dropSession(s.sid, s)
-			}
-			s.d.untrack(s)
-		})
-		close(s.final)
+		s.d.untrack(s)
 	})
-	<-s.final
+	close(s.final)
 	return s.summary
 }
 
@@ -606,11 +688,4 @@ func (s *session) finalize() wire.Summary {
 func (s *session) waitSummary() wire.Summary {
 	<-s.final
 	return s.summary
-}
-
-// isCompleted reports whether the session has been finalized.
-func (s *session) isCompleted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state == stateCompleted
 }

@@ -6,8 +6,8 @@ package core
 // reclaim or Compact releases goes back here and is handed out again, so
 // DieEvent-heavy traces reach steady-state zero allocation. The arena is
 // owned by exactly one Detector (per-shard detectors each own one), so it
-// needs no locking and — unlike vclock.SharedPool — no cross-shard
-// synchronization on the promotion path.
+// needs no locking and no cross-shard synchronization on the promotion
+// path.
 
 import (
 	"math/bits"

@@ -157,7 +157,7 @@ func (d *RefDetector) action(e *trace.Event) error {
 			case e.Thread == ps.epoch.T:
 				ps.epoch.C = e.Clock.Get(e.Thread)
 			default:
-				ps.vc = vclock.SharedPool.Clone(e.Clock).JoinEpoch(ps.epoch)
+				ps.vc = e.Clock.Clone().JoinEpoch(ps.epoch)
 			}
 			ps.lastAct = e.Act
 			ps.lastThread = e.Thread
@@ -171,7 +171,7 @@ func (d *RefDetector) action(e *trace.Event) error {
 			if ep := vclock.EpochOf(e.Thread, e.Clock); ep.C > 0 {
 				ps.epoch = ep
 			} else {
-				ps.vc = vclock.SharedPool.Clone(e.Clock)
+				ps.vc = e.Clock.Clone()
 			}
 			st.active[pt] = ps
 			d.addActive(1)
@@ -224,7 +224,6 @@ func (d *RefDetector) Compact(threshold vclock.VC) int {
 	for _, st := range d.objects {
 		for pt, ps := range st.active {
 			if ps.ordered(threshold) {
-				vclock.SharedPool.Put(ps.vc)
 				delete(st.active, pt)
 				removed++
 			}
@@ -240,9 +239,6 @@ func (d *RefDetector) reclaim(obj trace.ObjID) {
 	if st == nil {
 		delete(d.reps, obj)
 		return
-	}
-	for _, ps := range st.active {
-		vclock.SharedPool.Put(ps.vc)
 	}
 	d.stats.Reclaimed += len(st.active)
 	d.addActive(-len(st.active))

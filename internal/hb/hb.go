@@ -24,8 +24,8 @@
 // segment with the same shared vclock.VC. Lock clocks L(l) and in-flight
 // channel message clocks alias the releasing/sending thread's segment
 // snapshot too. A synchronization event that must change T(τ) starts a new
-// segment by copy-on-write from the shared vclock pool; the old snapshot
-// lives on, unwritten, in whatever events retained it.
+// segment by copy-on-write; the old snapshot lives on, unwritten, in
+// whatever events retained it.
 //
 // The price of zero-clone stamping is a contract: every Event.Clock (and
 // every clock returned by ThreadClock/LockClock/Process) is IMMUTABLE.
@@ -151,16 +151,26 @@ func (en *Engine) freeze(ts *threadState) vclock.VC {
 
 // mutable returns the thread's clock with the right to write it in place,
 // starting a new segment (copy-on-write) if the current clock is a frozen
-// snapshot. The copy comes from the shared clock pool the detector shards
-// recycle into.
+// snapshot.
 func (en *Engine) mutable(ts *threadState) vclock.VC {
 	if ts.shared {
 		en.guard.verify(ts.tok)
-		ts.clock = vclock.SharedPool.Clone(ts.clock)
+		ts.clock = cloneClock(ts.clock)
 		ts.shared = false
 		en.segRollovers.Inc()
 	}
 	return ts.clock
+}
+
+// cloneClock copies c for a new segment, with room for eight threads so
+// the Inc or Join that follows a rollover rarely reallocates.
+func cloneClock(c vclock.VC) vclock.VC {
+	if len(c) == 0 {
+		return nil
+	}
+	out := make(vclock.VC, len(c), max(len(c), 8))
+	copy(out, c)
+	return out
 }
 
 // joinInto folds clock d into ts's clock. When d adds no information the
@@ -208,7 +218,7 @@ func (en *Engine) Process(e *trace.Event) (vclock.VC, error) {
 		snap := en.freeze(ts)
 		e.Clock = snap
 		child.seen = true
-		child.clock = vclock.SharedPool.Clone(snap).Inc(e.Other)
+		child.clock = cloneClock(snap).Inc(e.Other)
 		en.seen++
 		ts.clock = en.mutable(ts).Inc(t)
 	case trace.JoinEvent:

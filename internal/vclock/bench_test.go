@@ -88,22 +88,3 @@ func BenchmarkEpochLEQ(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPoolClone(b *testing.B) {
-	c, _ := benchClocks(16)
-	b.Run("pooled", func(b *testing.B) {
-		var pl Pool
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := pl.Clone(c)
-			pl.Put(out)
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := c.Clone()
-			_ = out
-		}
-	})
-}

@@ -121,35 +121,3 @@ func randClock(r *rand.Rand) VC {
 	}
 	return c
 }
-
-func TestPoolCloneIsIndependent(t *testing.T) {
-	var pl Pool
-	src := VC{1, 2, 3}
-	c := pl.Clone(src)
-	if !c.Equal(src) {
-		t.Fatalf("clone = %s", c)
-	}
-	c[0] = 99
-	if src[0] != 1 {
-		t.Fatal("clone aliases source")
-	}
-	pl.Put(c)
-	// A recycled buffer must come back fully overwritten.
-	d := pl.Clone(VC{7})
-	if !d.Equal(VC{7}) {
-		t.Fatalf("recycled clone = %s", d)
-	}
-	// Growing a recycled clock must zero the extension (grow contract).
-	d = d.Set(2, 5)
-	if !d.Equal(VC{7, 0, 5}) {
-		t.Fatalf("grown recycled clone = %s", d)
-	}
-}
-
-func TestPoolNilSafety(t *testing.T) {
-	var pl Pool
-	if pl.Clone(nil) != nil {
-		t.Fatal("clone of bottom must be bottom")
-	}
-	pl.Put(nil) // must not panic
-}
