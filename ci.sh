@@ -52,14 +52,18 @@
 #   -fleet-only   run only the fleet-scheduling smoke (used by `make fleet-smoke`).
 #   -durable      additionally run the durable-session smoke: the
 #                 crash/restart differential tests under -race (in-process
-#                 crash, torn snapshot, truncated WAL, snapshot-beyond-WAL,
-#                 TTL expiry of on-disk state), then live binaries: rd2
-#                 -send -resume -restart-window streams a long trace into
-#                 rd2d -statedir while fault injection SIGKILLs the daemon
-#                 mid-snapshot (ckpt-crash, leaving a half-written snapshot)
-#                 and mid-WAL-append (wal-crash, leaving a torn WAL tail);
-#                 the daemon restarts over the same state dir and the
-#                 recovered JSONL verdicts must be byte-identical to an
+#                 crash, WAL-only restart, torn snapshot, truncated WAL,
+#                 snapshot-beyond-WAL, TTL expiry of on-disk state,
+#                 checkpoint cadence), then live binaries: rd2 -send
+#                 -resume -restart-window streams a long trace into rd2d
+#                 -statedir while fault injection SIGKILLs the daemon three
+#                 times over: mid-snapshot at -ckpt-every 128 (ckpt-crash,
+#                 leaving a half-written snapshot), mid-WAL-append at
+#                 -ckpt-every 128 (wal-crash, leaving a torn WAL tail), and
+#                 mid-WAL-append at the default replay budget, where no
+#                 snapshot exists and the restart replays the WAL alone;
+#                 each time the daemon restarts over the same state dir and
+#                 the recovered JSONL verdicts must be byte-identical to an
 #                 uninterrupted baseline run.
 #   -durable-only run only the durable-session smoke (used by `make durable-smoke`).
 set -eu
@@ -562,7 +566,7 @@ if [ "$DURABLE" = 1 ]; then
         -run 'TestDurable|TestScanReport|TestHealthzPhases' ./cmd/rd2d
     go test -race -timeout 120s ./internal/pipeline
 
-    echo "== durable: live SIGKILL-restart-resume differential (torn snapshot, torn WAL) =="
+    echo "== durable: live SIGKILL-restart-resume differential (torn snapshot, torn WAL, WAL only) =="
     DURTMP=$(mktemp -d)
     DURPID=""
     DSENDPID=""
@@ -602,15 +606,21 @@ if [ "$DURABLE" = 1 ]; then
         | sort > "$DURTMP/base.sorted"
     [ -s "$DURTMP/base.sorted" ] || { echo "durable smoke: trace produced no race records" >&2; exit 1; }
 
-    # ckpt-crash:2 dies by SIGKILL on the second snapshot with the snapshot
-    # file half-written in place; wal-crash:3 dies on the third WAL append
-    # with half a frame on disk. Either way the restarted daemon must
-    # recover to the exact baseline verdicts.
-    for inject in ckpt-crash:2 wal-crash:3; do
+    # Each run is an injection and a replay budget. ckpt-crash:2 dies by
+    # SIGKILL on the second snapshot with the snapshot file half-written in
+    # place; wal-crash:3 dies on the third WAL append with half a frame on
+    # disk. At the default budget the trace is far too short for a
+    # snapshot, so that restart replays the WAL from byte zero. Every time
+    # the restarted daemon must recover to the exact baseline verdicts.
+    for run in ckpt-crash:2,128 wal-crash:3,128 wal-crash:3,default; do
+        inject=${run%,*}
+        budget=""
+        [ "${run#*,}" = default ] || budget="-ckpt-every ${run#*,}"
         rm -rf "$DURTMP/state"
         rm -f "$DURTMP/dur.jsonl"
+        # $budget is unquoted on purpose: empty, or a flag and its value.
         "$DURTMP/rd2d" -listen "$DURADDR" -q -compact-every 0 \
-            -statedir "$DURTMP/state" -ckpt-every 128 \
+            -statedir "$DURTMP/state" $budget \
             -report "$DURTMP/dur.jsonl" -inject "$inject" \
             2> "$DURTMP/dur1.log" &
         DURPID=$!
@@ -624,7 +634,7 @@ if [ "$DURABLE" = 1 ]; then
         while kill -0 "$DURPID" 2>/dev/null; do
             i=$((i + 1))
             if [ $i -gt 300 ]; then
-                echo "durable smoke ($inject): daemon never crashed" >&2
+                echo "durable smoke ($run): daemon never crashed" >&2
                 cat "$DURTMP/dur1.log" >&2
                 exit 1
             fi
@@ -634,22 +644,26 @@ if [ "$DURABLE" = 1 ]; then
         wait "$DURPID" || rc=$?
         DURPID=""
         [ "$rc" -ge 128 ] || {
-            echo "durable smoke ($inject): daemon exited rc $rc, expected a SIGKILL death" >&2
+            echo "durable smoke ($run): daemon exited rc $rc, expected a SIGKILL death" >&2
             cat "$DURTMP/dur1.log" >&2
             exit 1
         }
+        if [ -z "$budget" ] && ls "$DURTMP"/state/*/snap.ckpt > /dev/null 2>&1; then
+            echo "durable smoke ($run): a snapshot exists below the default replay budget" >&2
+            exit 1
+        fi
         # Restart over the same state dir and report file; the client's
         # restart window keeps it redialing the refused port until the
         # reborn daemon has rehydrated and adopts the session.
         "$DURTMP/rd2d" -listen "$DURADDR" -q -compact-every 0 \
-            -statedir "$DURTMP/state" -ckpt-every 128 \
+            -statedir "$DURTMP/state" $budget \
             -report "$DURTMP/dur.jsonl" 2> "$DURTMP/dur2.log" &
         DURPID=$!
         rc=0
         wait "$DSENDPID" || rc=$?
         DSENDPID=""
         [ "$rc" -le 1 ] || {
-            echo "durable smoke ($inject): resumed rd2 -send rc $rc" >&2
+            echo "durable smoke ($run): resumed rd2 -send rc $rc" >&2
             cat "$DURTMP/send.log" "$DURTMP/dur1.log" "$DURTMP/dur2.log" >&2
             exit 1
         }
@@ -657,15 +671,15 @@ if [ "$DURABLE" = 1 ]; then
         rc=0
         wait "$DURPID" || rc=$?
         DURPID=""
-        [ "$rc" -le 1 ] || { echo "durable smoke ($inject): restarted rd2d rc $rc" >&2; cat "$DURTMP/dur2.log" >&2; exit 1; }
+        [ "$rc" -le 1 ] || { echo "durable smoke ($run): restarted rd2d rc $rc" >&2; cat "$DURTMP/dur2.log" >&2; exit 1; }
         sed 's/^{"session":"[^"]*","seq":[0-9]*,/{/' "$DURTMP/dur.jsonl" \
             | sort > "$DURTMP/dur.sorted"
         if ! diff -q "$DURTMP/base.sorted" "$DURTMP/dur.sorted" > /dev/null; then
-            echo "durable smoke ($inject): recovered verdicts differ from baseline" >&2
+            echo "durable smoke ($run): recovered verdicts differ from baseline" >&2
             diff "$DURTMP/base.sorted" "$DURTMP/dur.sorted" | head >&2
             exit 1
         fi
-        echo "durable smoke ($inject): $(wc -l < "$DURTMP/dur.sorted") verdicts byte-identical across the SIGKILL restart"
+        echo "durable smoke ($run): $(wc -l < "$DURTMP/dur.sorted") verdicts byte-identical across the SIGKILL restart"
     done
     echo "durable smoke OK"
 fi

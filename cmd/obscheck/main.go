@@ -104,6 +104,7 @@ func checkAllocs() int {
 	// rd2d.ckpt.* family shares the zero-alloc contract when metrics are off.
 	dreg := obs.NewRegistry()
 	dwal := dreg.Counter("rd2d.ckpt.wal_appends")
+	dsync := dreg.Counter("rd2d.ckpt.wal_syncs")
 	dbytes := dreg.Counter("rd2d.ckpt.bytes")
 	dns := dreg.Counter("rd2d.ckpt.ns")
 	fail := 0
@@ -123,6 +124,7 @@ func checkAllocs() int {
 		{"fleet.runnable.Add", func() { frunnable.Add(1) }},
 		{"fleet stage.schedule span", func() { fsp.End(fsp.Start(), 1) }},
 		{"ckpt.wal_appends.Inc", func() { dwal.Inc() }},
+		{"ckpt.wal_syncs.Inc", func() { dsync.Inc() }},
 		{"ckpt.bytes.Add", func() { dbytes.Add(4096) }},
 		{"ckpt.ns.Add", func() { dns.Add(1000) }},
 	} {

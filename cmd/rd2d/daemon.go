@@ -62,7 +62,7 @@ type daemonConfig struct {
 
 	// Durable sessions (DESIGN.md §15; off when stateDir is empty).
 	stateDir   string
-	ckptEvery  int               // snapshot cadence in events; 0 = DefaultCkptEvery
+	ckptEvery  int               // replay budget in events between snapshots; 0 = DefaultCkptEvery
 	fsyncMode  int               // fsyncOff | fsyncCkpt | fsyncAlways
 	reportSeqs map[string]uint64 // per-session durable JSONL seq from a prior life
 

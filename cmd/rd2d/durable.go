@@ -30,10 +30,13 @@ package main
 //
 // Checkpoints happen only in the session runner's per-event step, at
 // frame boundaries the decoder hook published, so the snapshot's three
-// states agree on a single stream position. fsync policy is -fsync
-// off|ckpt|always: the page cache survives a process SIGKILL, so even
-// "off" is crash-safe against process death; "ckpt"/"always" extend the
-// guarantee to machine crashes.
+// states agree on a single stream position. A snapshot only shortens the
+// next restart's WAL replay, so the runner takes one only when the WAL
+// suffix past the last snapshot reaches the replay budget (-ckpt-every);
+// at the boundaries in between it at most fsyncs the WAL. fsync policy is
+// -fsync off|ckpt|always: the page cache survives a process SIGKILL, so
+// even "off" is crash-safe against process death; "ckpt"/"always" extend
+// the guarantee to machine crashes.
 
 import (
 	"bytes"
@@ -64,6 +67,7 @@ var (
 	obsCkptBytes      = obs.GetCounter("rd2d.ckpt.bytes")
 	obsCkptNs         = obs.GetCounter("rd2d.ckpt.ns")
 	obsCkptWalAppends = obs.GetCounter("rd2d.ckpt.wal_appends")
+	obsCkptWalSyncs   = obs.GetCounter("rd2d.ckpt.wal_syncs")
 	obsCkptRestores   = obs.GetCounter("rd2d.ckpt.restores")
 	obsCkptTorn       = obs.GetCounter("rd2d.ckpt.torn_recoveries")
 )
@@ -71,7 +75,7 @@ var (
 // fsync policy for the state dir.
 const (
 	fsyncOff    = iota // never fsync: crash-safe against process death only
-	fsyncCkpt          // fsync WAL + snapshot at each checkpoint
+	fsyncCkpt          // fsync the WAL every walSyncEvery events and with each snapshot
 	fsyncAlways        // additionally fsync the WAL on every frame append
 )
 
@@ -87,8 +91,16 @@ func parseFsyncMode(s string) (int, error) {
 	return 0, fmt.Errorf("unknown -fsync mode %q (want off, ckpt, or always)", s)
 }
 
-// DefaultCkptEvery is the default checkpoint cadence, in events.
-const DefaultCkptEvery = 4096
+// DefaultCkptEvery is the default replay budget, in events: a durable
+// session is snapshotted once the WAL suffix a restart would replay reaches
+// it. WAL replay runs at about a million events a second on a 2-vCPU host
+// (EXPERIMENTS.md E14), so that is about a second of restart time.
+const DefaultCkptEvery = 1 << 20
+
+// walSyncEvery is the WAL fsync cadence under -fsync ckpt, in events: the
+// runner fsyncs the WAL at the first frame boundary this far past the
+// previous fsync, snapshot or not.
+const walSyncEvery = 4096
 
 // errDurClosed marks WAL appends after the session's state was destroyed.
 var errDurClosed = errors.New("durable: session state destroyed")
@@ -107,27 +119,27 @@ type boundary struct {
 // durSession is one session's persistent state: the open WAL and the FIFO
 // of frame boundaries the runner may checkpoint at. The hook side (WAL
 // append, boundary publish) runs on the connection read loop; the
-// checkpoint side (boundary take, snapshot) runs in the session runner;
-// mu covers the shared fields.
+// checkpoint side (boundary take, WAL fsync, snapshot) runs in the session
+// runner; mu covers the shared fields.
 type durSession struct {
 	d     *daemon
 	sid   string
 	dir   string
-	every int // checkpoint cadence in events
+	every int // replay budget in events: snapshot once the WAL suffix reaches it
 	fsync int
 
-	mu       sync.Mutex
-	wal      *os.File
-	walOff   int64
-	bounds   []boundary
-	walErr   error
-	buf      []byte // frame re-encode scratch (hook side only)
-	lastCkpt int    // events at the last snapshot (runner + rehydrator)
-	force    bool   // replayed a WAL tail: snapshot at the next boundary
+	mu     sync.Mutex
+	wal    *os.File
+	walOff int64
+	bounds []boundary
+	walErr error
+	buf    []byte // frame re-encode scratch (hook side only)
 
-	// Runner-side only.
-	ckptErr error // first snapshot failure; disables further snapshots
-	ckpts   int
+	// Runner-side only. lastCkpt and lastSync are primed before the runner
+	// starts: from the snapshot a rehydrated session restores, else 0.
+	lastCkpt int   // events at the last snapshot
+	lastSync int   // events at the last WAL fsync
+	ckptErr  error // first snapshot or fsync failure; disables both
 }
 
 // sanitizeSID maps a client session id to a filesystem-safe directory
@@ -214,6 +226,7 @@ func (ds *durSession) hook(dec *wire.Decoder) func(byte, []byte) error {
 				ds.walErr = err
 				return fmt.Errorf("durable: wal fsync: %w", err)
 			}
+			obsCkptWalSyncs.Inc()
 		}
 		ds.bounds = append(ds.bounds, b)
 		obsCkptWalAppends.Inc()
@@ -223,11 +236,10 @@ func (ds *durSession) hook(dec *wire.Decoder) func(byte, []byte) error {
 
 // takeBoundary resolves the runner's position against the published
 // boundaries: boundaries strictly behind events are dropped (missed
-// checkpoint opportunities — never incorrect), and when the cadence (or a
-// post-replay force) makes a snapshot due, the latest boundary exactly at
-// events is popped and returned. Duplicate-chunk frames publish zero-event
-// boundaries at the same cum; the latest wins so a resume replays the
-// least.
+// checkpoint opportunities — never incorrect), and the latest boundary
+// exactly at events, if any, is popped and returned. Duplicate-chunk frames
+// publish zero-event boundaries at the same cum; the latest wins so a
+// resume replays the least.
 func (ds *durSession) takeBoundary(events int) (boundary, bool) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -236,9 +248,6 @@ func (ds *durSession) takeBoundary(events int) (boundary, bool) {
 		i++
 	}
 	ds.bounds = ds.bounds[i:]
-	if !ds.force && events-ds.lastCkpt < ds.every {
-		return boundary{}, false
-	}
 	j := 0
 	for j < len(ds.bounds) && ds.bounds[j].cum == events {
 		j++
@@ -251,12 +260,22 @@ func (ds *durSession) takeBoundary(events int) (boundary, bool) {
 	return b, true
 }
 
-// ckptDone records a successful snapshot at cum events.
-func (ds *durSession) ckptDone(cum int) {
+// syncWAL fsyncs the WAL up to everything appended so far. The file is
+// read under mu but synced outside it, so the read loop's appends never
+// wait on the disk. Mid-rehydration there is no open WAL: the replayed
+// frames are already in it, and the next fsync covers them.
+func (ds *durSession) syncWAL() error {
 	ds.mu.Lock()
-	ds.lastCkpt = cum
-	ds.force = false
+	wal := ds.wal
 	ds.mu.Unlock()
+	if wal == nil {
+		return nil
+	}
+	if err := wal.Sync(); err != nil {
+		return err
+	}
+	obsCkptWalSyncs.Inc()
+	return nil
 }
 
 // pushBoundary publishes a boundary directly (the WAL replay path, where
@@ -294,11 +313,13 @@ type snapMeta struct {
 	DecState    wire.DecoderState
 }
 
-// maybeCheckpoint snapshots the session at the current position when a
-// published boundary lands exactly here and the cadence (or a post-replay
-// force) says it is due. Called by the runner's step before processing
-// each event, so the engine has stamped exactly the events the
-// boundary covers. A degraded or failed session is never checkpointed —
+// maybeCheckpoint is the checkpoint cut-point. Called by the runner's step
+// before processing each event, so when a published boundary lands exactly
+// here the engine has stamped exactly the events it covers. At such a
+// boundary it makes one of two decisions: snapshot, once the WAL suffix
+// past the last snapshot reaches the replay budget; otherwise, under
+// -fsync ckpt, fsync the WAL once walSyncEvery events have gone by since
+// the last fsync. A degraded or failed session is never checkpointed —
 // partial state must not shadow the honest WAL.
 func (s *session) maybeCheckpoint() {
 	ds := s.dur
@@ -309,13 +330,21 @@ func (s *session) maybeCheckpoint() {
 	if !ok {
 		return
 	}
-	if err := s.checkpoint(b); err != nil {
-		ds.ckptErr = err
-		s.logf("checkpoint failed (continuing without snapshots, WAL still covers the session): %v", err)
-		return
+	var err error
+	switch {
+	case b.cum-ds.lastCkpt >= ds.every:
+		if err = s.checkpoint(b); err == nil {
+			ds.lastCkpt, ds.lastSync = b.cum, b.cum
+		}
+	case ds.fsync == fsyncCkpt && b.cum-ds.lastSync >= walSyncEvery:
+		if err = ds.syncWAL(); err == nil {
+			ds.lastSync = b.cum
+		}
 	}
-	ds.ckptDone(b.cum)
-	ds.ckpts++
+	if err != nil {
+		ds.ckptErr = err
+		s.logf("checkpoint failed (continuing without snapshots or WAL fsyncs, WAL still covers the session): %v", err)
+	}
 }
 
 // checkpoint writes one snapshot at boundary b: quiesce and export the
@@ -361,15 +390,8 @@ func (s *session) checkpoint(b boundary) error {
 
 	if ds.fsync >= fsyncCkpt {
 		// The snapshot references WAL offsets; make the WAL durable first.
-		// (nil mid-rehydration: replayed frames are already on disk.)
-		ds.mu.Lock()
-		var werr error
-		if ds.wal != nil {
-			werr = ds.wal.Sync()
-		}
-		ds.mu.Unlock()
-		if werr != nil {
-			return werr
+		if err := ds.syncWAL(); err != nil {
+			return err
 		}
 	}
 	path := filepath.Join(ds.dir, "snap.ckpt")
@@ -882,9 +904,10 @@ func (d *daemon) rehydrateOne(dir string) {
 
 	// lastCkpt is primed before the runner starts: replay republishes
 	// boundaries and the runner may legitimately checkpoint mid-replay once
-	// the cadence from the snapshot's position says so.
+	// the budget from the snapshot's position says so. That also bounds the
+	// next restart's replay, with no snapshot forced after this one.
 	ds := &durSession{d: d, sid: sid, dir: dir, every: d.cfg.ckptEvery, fsync: d.cfg.fsyncMode,
-		lastCkpt: restore.meta.Events}
+		lastCkpt: restore.meta.Events, lastSync: restore.meta.Events}
 	restore.dur = ds
 	s := d.newSession(sid, tenant, restore)
 	s.admit = release
@@ -905,11 +928,6 @@ func (d *daemon) rehydrateOne(dir string) {
 		if off, err := wal.Seek(0, io.SeekEnd); err == nil {
 			ds.walOff = off
 		}
-	}
-	if tail {
-		// A replayed tail means the snapshot is stale; refresh at the next
-		// boundary. (The runner is already live — lastCkpt/force are shared.)
-		ds.force = true
 	}
 	ds.mu.Unlock()
 

@@ -13,12 +13,14 @@ package main
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,39 +85,50 @@ func waitCaughtUp(t *testing.T, d *daemon, sid string) {
 	})
 }
 
-func waitFile(t *testing.T, path string) {
+// requireFile checks that path exists. Callers first wait for the writer
+// to be done (waitCaughtUp), so one stat decides.
+func requireFile(t *testing.T, path string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := os.Stat(path); err == nil {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("%s missing: %v", path, err)
 	}
-	t.Fatalf("%s never appeared", path)
 }
 
-func waitGone(t *testing.T, path string) {
+// waitDestroyed waits for s to take its completed edge and publish its
+// summary — finalize removes the session's state dir before that — then
+// checks that dir is gone.
+func waitDestroyed(t *testing.T, d *daemon, sid, dir string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	s := waitState(t, d, sid, stateCompleted)
+	select {
+	case <-s.final:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("session %q completed but never finalized", sid)
 	}
-	t.Fatalf("%s never removed", path)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("%s not removed when its session completed (stat: %v)", dir, err)
+	}
 }
 
-// durableRestartDiff is the crash/restart differential: stream a prefix
-// into a durable daemon, crash it, optionally corrupt the on-disk state,
-// rehydrate a second daemon over the same state dir, resume with a fresh
-// client, and hold summary plus JSONL verdicts to an uninterrupted
-// baseline run of the same worker mode.
+// durableRestartDiff is restartDiff on racyTrace with a snapshot every
+// 4 events.
 func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sdir, sid string)) {
 	tr, _ := racyTrace(t)
+	restartDiff(t, mode, tr, 4, corrupt)
+}
+
+// restartDiff is the crash/restart differential: stream a prefix of tr
+// into a durable daemon with replay budget ckptEvery (0: the default),
+// crash it, optionally corrupt the on-disk state, rehydrate a second
+// daemon over the same state dir, resume with a fresh client, and hold
+// summary plus JSONL verdicts to an uninterrupted baseline run of the same
+// worker mode and to offline core.Detector. At the default budget the
+// crash leaves no snapshot, so recovery replays the WAL from byte zero;
+// without corruption no recovery is torn.
+func restartDiff(t *testing.T, mode string, tr *trace.Trace, ckptEvery int, corrupt func(t *testing.T, sdir, sid string)) {
 	const sid = "dur"
 	obs.SetEnabled(true) // waitCaughtUp counts stamped events
+	torn0 := obsCkptTorn.Load()
 	modeCfg := func(c *daemonConfig) {
 		switch mode {
 		case "fleet":
@@ -166,15 +179,21 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	d1, _ := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		modeCfg(c)
 		c.stateDir = stateDir
-		c.ckptEvery = 4
+		c.ckptEvery = ckptEvery
 		c.resumeTTL = time.Hour
 		c.reporter = core.NewReportWriter(rep1)
 	})
 	severInto(t, d1.Addr(), data[:cut])
 	waitCaughtUp(t, d1, sid)
 	sdir := filepath.Join(stateDir, sid)
-	waitFile(t, filepath.Join(sdir, "wal"))
-	waitFile(t, filepath.Join(sdir, "snap.ckpt"))
+	requireFile(t, filepath.Join(sdir, "wal"))
+	if ckptEvery == 0 {
+		if _, err := os.Stat(filepath.Join(sdir, "snap.ckpt")); !os.IsNotExist(err) {
+			t.Fatalf("snapshot on disk below the default replay budget (stat: %v)", err)
+		}
+	} else {
+		requireFile(t, filepath.Join(sdir, "snap.ckpt"))
+	}
 	rep1.Close()
 	// Crash: abandon d1. Its parked session, open WAL fd, and TTL timer
 	// leak; the state dir holds whatever was durable at this instant.
@@ -196,7 +215,7 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 	d2, done2 := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		modeCfg(c)
 		c.stateDir = stateDir
-		c.ckptEvery = 4
+		c.ckptEvery = ckptEvery
 		c.resumeTTL = time.Hour
 		c.reporter = core.NewReportWriter(rep2)
 		c.reportSeqs = seqs
@@ -258,9 +277,16 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 			t.Fatalf("race record %d differs:\n  restarted: %s\n  baseline:  %s", i, got[i], baseRaces[i])
 		}
 	}
+	offRaces, offLines := offlineRaceLines(t, tr)
+	if sum.Races != offRaces || !slices.Equal(strippedRaceLines(string(reportData)), offLines) {
+		t.Fatalf("restarted session: %d races and its JSONL differ from offline core.Detector (%d races)", sum.Races, offRaces)
+	}
+	if corrupt == nil && obsCkptTorn.Load() != torn0 {
+		t.Fatalf("torn_recoveries moved by %d on a restart from intact state", obsCkptTorn.Load()-torn0)
+	}
 
 	// A cleanly completed session's durability obligation is over.
-	waitGone(t, sdir)
+	waitDestroyed(t, d2, sid, sdir)
 }
 
 // TestDurableRestartDifferential runs the crash/restart differential in
@@ -269,6 +295,80 @@ func durableRestartDiff(t *testing.T, mode string, corrupt func(t *testing.T, sd
 func TestDurableRestartDifferential(t *testing.T) {
 	for _, mode := range []string{"serial", "fleet"} {
 		t.Run(mode, func(t *testing.T) { durableRestartDiff(t, mode, nil) })
+	}
+}
+
+// budgetTrace is a racy dictionary session of about 10k events: two WAL
+// fsync windows of walSyncEvery events and part of a third, far below the
+// default replay budget.
+func budgetTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	tr := trace.Generate(rand.New(rand.NewSource(5)), trace.GenConfig{
+		Threads: 4, Objects: 4, Keys: 64, Vals: 4, Locks: 1,
+		OpsMin: 900, OpsMax: 900, PSize: 5, PGet: 45, PLocked: 90, PRemove: 25,
+	})
+	if n := tr.Len(); n < 2*walSyncEvery+512 || n >= 3*walSyncEvery {
+		t.Fatalf("budget trace has %d events, want two fsync windows and part of a third", n)
+	}
+	return tr
+}
+
+// TestDurableWALOnlyRestart is the crash/restart differential at the
+// default replay budget: the daemon dies mid-stream with no snapshot on
+// disk, and the restart replays the WAL from byte zero — the normal
+// recovery path, not a torn-snapshot fallback.
+func TestDurableWALOnlyRestart(t *testing.T) {
+	restartDiff(t, "serial", budgetTrace(t), 0, nil)
+}
+
+// TestDurableCheckpointCadence pins the cut-point rule on one ~10k-event
+// session streamed whole and left parked. At the default replay budget no
+// snapshot is taken, and -fsync ckpt fsyncs the WAL once per walSyncEvery
+// events; -fsync off never fsyncs; a 4096-event budget snapshots at least
+// twice, each snapshot carrying the WAL fsync of its window.
+func TestDurableCheckpointCadence(t *testing.T) {
+	tr := budgetTrace(t)
+	data := encodeSession(t, tr, "cadence", 1024)
+	obs.SetEnabled(true) // waitCaughtUp and the rd2d.ckpt.* counters
+	for _, tc := range []struct {
+		name      string
+		ckptEvery int // 0: the default budget
+		fsync     int
+		syncs     int // WAL fsyncs
+		snaps     int // minimum snapshots; 0: none, and no snap.ckpt on disk
+	}{
+		{"default", 0, fsyncCkpt, 2, 0},
+		{"fsync-off", 0, fsyncOff, 0, 0},
+		{"budget-4096", 4096, fsyncCkpt, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stateDir := t.TempDir()
+			d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
+				c.obsRoot = obs.NewRegistry()
+				c.stateDir = stateDir
+				c.ckptEvery = tc.ckptEvery
+				c.fsyncMode = tc.fsync
+				c.resumeTTL = time.Hour
+			})
+			syncs0, snaps0 := obsCkptWalSyncs.Load(), obsCkptSnapshots.Load()
+			severInto(t, d.Addr(), data)
+			waitCaughtUp(t, d, "cadence")
+			syncs, snaps := int(obsCkptWalSyncs.Load()-syncs0), int(obsCkptSnapshots.Load()-snaps0)
+			if syncs != tc.syncs {
+				t.Errorf("%d WAL fsyncs over %d events, want %d", syncs, tr.Len(), tc.syncs)
+			}
+			_, err := os.Stat(filepath.Join(stateDir, "cadence", "snap.ckpt"))
+			if tc.snaps == 0 && (snaps != 0 || !os.IsNotExist(err)) {
+				t.Errorf("%d snapshots (snap.ckpt stat: %v), want none", snaps, err)
+			}
+			if tc.snaps > 0 && (snaps < tc.snaps || err != nil) {
+				t.Errorf("%d snapshots (snap.ckpt stat: %v), want at least %d", snaps, err, tc.snaps)
+			}
+			d.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+		})
 	}
 }
 
@@ -343,7 +443,7 @@ func TestDurableExpiredStateGC(t *testing.T) {
 	severInto(t, d1.Addr(), data[:len(data)*3/5])
 	waitCaughtUp(t, d1, sid)
 	sdir := filepath.Join(stateDir, sid)
-	waitFile(t, filepath.Join(sdir, "wal"))
+	requireFile(t, filepath.Join(sdir, "wal"))
 	// Crash d1, then age the state two hours into the past.
 	old := time.Now().Add(-2 * time.Hour)
 	for _, name := range []string{"wal", "snap.ckpt"} {
@@ -412,7 +512,7 @@ func TestDurableLiveTTLDestroysState(t *testing.T) {
 		c.resumeTTL = 300 * time.Millisecond
 	})
 	severInto(t, d.Addr(), data[:len(data)*3/5])
-	waitGone(t, filepath.Join(stateDir, sid))
+	waitDestroyed(t, d, sid, filepath.Join(stateDir, sid))
 	d.Shutdown()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)

@@ -65,8 +65,8 @@ func run(args []string) int {
 	resumeTTL := fs.Duration("resume-ttl", DefaultResumeTTL, "how long a resumable session survives a lost connection")
 	resync := fs.Bool("resync", false, "corruption resync: skip corrupt frames and continue (session reports degraded)")
 	stateDir := fs.String("statedir", "", "persist resumable sessions here (crash-safe checkpoint/restore across daemon restarts)")
-	ckptEvery := fs.Int("ckpt-every", DefaultCkptEvery, "with -statedir: snapshot a durable session at most once per this many events")
-	fsyncMode := fs.String("fsync", "ckpt", "with -statedir: off (safe against process crashes only), ckpt (fsync WAL and snapshot at checkpoints), always (also fsync every WAL append)")
+	ckptEvery := fs.Int("ckpt-every", DefaultCkptEvery, "with -statedir: restart replay budget in events; a durable session is snapshotted once the WAL suffix past its last snapshot reaches it")
+	fsyncMode := fs.String("fsync", "ckpt", "with -statedir: off (safe against process crashes only), ckpt (fsync the WAL every 4096 events and with each snapshot), always (also fsync every WAL append)")
 	inject := fs.String("inject", "", "fault injection for chaos testing, e.g. rep-panic:100 or worker-panic:50")
 	compactOps := fs.Int("compact-every", 4096, "compact reclaimable detector state at most once per this many events (0 disables; compaction may trim dead-thread entries from reported point clocks)")
 	fleetMode := fs.Bool("fleet", false, "multi-tenant fleet scheduling: run sessions as quanta on a shared worker pool with per-tenant deficit-round-robin fairness (each session runs one serial detector; -shards applies only to per-conn mode)")

@@ -592,6 +592,39 @@ func TestSessionInfosWhileStreaming(t *testing.T) {
 	}
 }
 
+// TestSessionInfoStates: /sessions names the state a session is in, and a
+// session still being set up — a rehydrating one replays its WAL there —
+// shows as new, not attached.
+func TestSessionInfoStates(t *testing.T) {
+	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) { c.obsRoot = obs.NewRegistry() })
+	s := d.newSession("info-states", "", nil)
+	if got := s.info().State; got != "new" {
+		t.Fatalf("/sessions state %q, want new", got)
+	}
+	for _, step := range []struct {
+		to, cause uint8
+		want      string
+	}{
+		{stateAttached, causeConnect, "attached"},
+		{stateCompleted, causeEnd, "completed"},
+	} {
+		s.mu.Lock()
+		ok := s.transition(step.to, step.cause)
+		s.mu.Unlock()
+		if !ok {
+			t.Fatalf("edge to %d (cause %d) refused", step.to, step.cause)
+		}
+		if got := s.info().State; got != step.want {
+			t.Fatalf("/sessions state %q, want %q", got, step.want)
+		}
+	}
+	s.finalize()
+	d.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
 // TestZeroConfigResolvesDefaults: newDaemon resolves every zero duration
 // and cadence to its default once, and -write-timeout 0 means the default
 // deadline for the JSONL report writer as for acks and summaries, never no

@@ -32,7 +32,7 @@ type sessionInfo struct {
 	Session  string `json:"session"`           // scope id (client sid or conn-<n>)
 	Ordinal  int64  `json:"ordinal"`           // daemon-local session number
 	Tenant   string `json:"tenant,omitempty"`  // quota/scheduling tenant
-	State    string `json:"state"`             // attached | parked | completed
+	State    string `json:"state"`             // new | attached | parked | completed
 	Sched    string `json:"sched,omitempty"`   // fleet state: idle | runnable | running | throttled
 	Resumes  int    `json:"resumes,omitempty"` // times re-attached after a lost conn
 	Events   int    `json:"events"`            // events ingested off the wire
@@ -74,12 +74,14 @@ func (s *session) info() sessionInfo {
 		in.Sched = "throttled"
 	}
 	switch s.state {
+	case stateNew:
+		in.State = "new" // being set up; a rehydrating session replays its WAL here
+	case stateAttached:
+		in.State = "attached"
 	case stateParked:
 		in.State = "parked"
 	case stateCompleted:
 		in.State = "completed"
-	default:
-		in.State = "attached"
 	}
 	in.Resumes = s.resumes
 	s.mu.Unlock()
