@@ -339,7 +339,7 @@ if [ "$WIRE" = 1 ]; then
     # SIGTERM mid-stream: a much longer stream is cut by the drain; the
     # daemon must still exit cleanly with a complete final report.
     "$WIRETMP/tracegen" -h2 ComplexConcurrency -h2-ops 60000 -o "$WIRETMP/big.rdb"
-    "$WIRETMP/rd2d" -listen "$WIREADDR" -q -max-races 10 \
+    "$WIRETMP/rd2d" -listen "$WIREADDR" -q \
         -report "$WIRETMP/drain.jsonl" 2> "$WIRETMP/drain.log" &
     RD2DPID=$!
     "$WIRETMP/rd2" -trace "$WIRETMP/big.rdb" -send "$WIREADDR" -send-wait 10s -q 2>/dev/null || true &

@@ -2,11 +2,11 @@
 // modes:
 //
 // Default: validate a metrics snapshot against the obs JSON schema. It
-// reads one snapshot (as served by rd2's -http /metrics endpoint or
-// emitted by -stats-interval with -stats-json) from stdin or from a file
-// argument, and exits 0 iff the snapshot is well-formed: all required keys
-// present, gauge peaks >= values, histogram bucket sums consistent, and
-// quantiles monotone. ci.sh -obs uses it to gate the HTTP smoke test.
+// reads one snapshot (as served by the -http /metrics endpoint of rd2 or
+// rd2d) from stdin or from a file argument, and exits 0 iff the snapshot
+// is well-formed: all required keys present, gauge peaks >= values,
+// histogram bucket sums consistent, and quantiles monotone. ci.sh -obs
+// uses it to gate the HTTP smoke test.
 //
 //	rd2 -trace run.trace -http :6060 -serve &
 //	curl -s localhost:6060/metrics | obscheck

@@ -27,8 +27,8 @@
 // specification file. -bind overrides the specification per object id.
 //
 // Observability (see DESIGN.md §7): -http serves /metrics, /debug/vars and
-// /debug/pprof; -stats-interval emits periodic snapshots to stderr
-// (-stats-json for JSON); -obs prints a final snapshot; -report streams
+// /debug/pprof; -stats-interval emits periodic text snapshots to stderr;
+// -obs prints a final snapshot; -report streams
 // structured race records as JSON Lines; -serve keeps the HTTP endpoint up
 // after the analysis until SIGINT/SIGTERM (for scraping and smoke tests).
 //
@@ -99,7 +99,6 @@ func run(args []string) int {
 		"additionally replay N random linearizations (Theorem 5.2 check; built-in specs only)")
 	httpAddr := fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (enables metrics)")
 	statsInterval := fs.Duration("stats-interval", 0, "emit a metrics snapshot to stderr at this interval (enables metrics)")
-	statsJSON := fs.Bool("stats-json", false, "emit -stats-interval snapshots as JSON instead of text")
 	obsFlag := fs.Bool("obs", false, "print a final metrics snapshot to stderr (enables metrics)")
 	reportPath := fs.String("report", "", "stream structured race records (JSON Lines) to this file")
 	serve := fs.Bool("serve", false, "with -http: keep serving after the analysis until SIGINT/SIGTERM")
@@ -139,7 +138,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "rd2: metrics on http://%s/metrics\n", srv.Addr())
 	}
 	if *statsInterval > 0 {
-		em := obs.StartEmitter(os.Stderr, obs.Default, *statsInterval, *statsJSON)
+		em := obs.StartEmitter(os.Stderr, obs.Default, *statsInterval)
 		defer em.Stop()
 	}
 

@@ -82,6 +82,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-trace", path, "-bind", "0"},         // malformed bind
 		{"-trace", path, "-bind", "0=nope"},    // unknown bound spec
 		{"-bogus-flag"},                        // flag error
+		{"-trace", path, "-stats-json"},        // removed: /metrics is the JSON surface
 	}
 	for _, args := range cases {
 		if code := run(args); code != 2 {

@@ -21,9 +21,9 @@
 // -memprofile write pprof profiles of the selected experiments.
 //
 // Observability (see DESIGN.md §7): -http serves /metrics, /debug/vars and
-// /debug/pprof while experiments run; -stats-interval emits periodic
-// snapshots to stderr (-stats-json for JSON); -obs prints the unified
-// per-detector stat tables after Table 2 plus a final metrics snapshot.
+// /debug/pprof while experiments run; -stats-interval emits periodic text
+// snapshots to stderr; -obs prints the unified per-detector stat tables
+// after Table 2 plus a final metrics snapshot.
 package main
 
 import (
@@ -65,7 +65,6 @@ func run(args []string) int {
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	httpAddr := fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (enables metrics)")
 	statsInterval := fs.Duration("stats-interval", 0, "emit a metrics snapshot to stderr at this interval (enables metrics)")
-	statsJSON := fs.Bool("stats-json", false, "emit -stats-interval snapshots as JSON instead of text")
 	obsFlag := fs.Bool("obs", false, "print per-detector stat tables and a final metrics snapshot (enables metrics)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -86,7 +85,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "rd2bench: metrics on http://%s/metrics\n", srv.Addr())
 	}
 	if *statsInterval > 0 {
-		em := obs.StartEmitter(os.Stderr, obs.Default, *statsInterval, *statsJSON)
+		em := obs.StartEmitter(os.Stderr, obs.Default, *statsInterval)
 		defer em.Stop()
 	}
 

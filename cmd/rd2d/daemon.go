@@ -41,9 +41,7 @@ type daemonConfig struct {
 	defaultSpec  string
 	binds        map[trace.ObjID]ap.Rep
 	bindSpecs    map[trace.ObjID]string
-	engine       core.Engine
 	shards       int
-	maxRaces     int
 	queueLen     int           // per-connection ingest queue, in events
 	idleTimeout  time.Duration // per-read deadline; 0 disables
 	writeTimeout time.Duration // summary, ack and report write deadline; 0 = DefaultWriteTimeout
@@ -76,7 +74,6 @@ type daemonConfig struct {
 	fleetWorkers int                    // pool size; 0 = GOMAXPROCS
 	maxSessions  int                    // resident session cap; 0 = unbounded
 	globalRate   float64                // daemon-wide events/s budget; 0 = unlimited
-	fleetQuantum int                    // DRR grant per tenant round; 0 = fleet.DefaultQuantum
 	defaultQuota fleet.Quota            // quota for tenants not in tenantQuotas
 	tenantQuotas map[string]fleet.Quota // per-tenant overrides
 }
@@ -188,7 +185,6 @@ func newDaemon(addr string, cfg daemonConfig) (*daemon, error) {
 		Workers:            workers,
 		MaxSessions:        cfg.maxSessions,
 		GlobalEventsPerSec: cfg.globalRate,
-		Quantum:            cfg.fleetQuantum,
 		Default:            cfg.defaultQuota,
 		Tenants:            cfg.tenantQuotas,
 		Obs:                d.obsRoot(),

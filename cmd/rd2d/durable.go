@@ -39,6 +39,7 @@ package main
 // the guarantee to machine crashes.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
@@ -48,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -1025,44 +1027,93 @@ func (d *daemon) replayWAL(s *session, ds *durSession, walPath string, restore *
 	return dec, frames > 0, nil
 }
 
-// scanReport reads an existing JSONL report and returns each session's
+// scanReport streams an existing JSONL report and returns each session's
 // durable high-water seq, truncating a torn last line (the report is
 // written unbuffered under a lock, so only the final line can be partial).
-// Degraded-note records carry a "note" field and do not advance seqs.
+// It reads only each line's leading {"session":"…","seq":N — the field
+// order RaceRecord declares — so restart cost is one pass over the bytes,
+// not a JSON decode per record. Degraded notes are maps, encoded with
+// sorted keys ("events" first), so they never match and advance no seq.
 func scanReport(path string) (map[string]uint64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return map[string]uint64{}, nil
 		}
 		return nil, err
 	}
-	if n := bytes.LastIndexByte(data, '\n'); n < len(data)-1 {
-		keep := int64(0)
-		if n >= 0 {
-			keep = int64(n + 1)
+	defer f.Close()
+	seqs := map[string]uint64{}
+	br := bufio.NewReaderSize(f, 64<<10)
+	var off, start int64 // bytes read; offset of the current line
+	var sid string
+	var seq uint64
+	var ok bool
+	for {
+		// A line's first fragment is the whole line or a full buffer, so
+		// it holds the prefix.
+		frag, err := br.ReadSlice('\n')
+		if off == start && len(frag) > 0 {
+			sid, seq, ok = recordPrefix(frag)
 		}
-		if err := os.Truncate(path, keep); err != nil {
+		off += int64(len(frag))
+		switch err {
+		case nil: // the line is complete
+			if ok && seq > seqs[sid] {
+				seqs[sid] = seq
+			}
+			start = off
+		case bufio.ErrBufferFull: // a long line: read on to its newline
+		case io.EOF:
+			if off > start { // torn last line
+				if err := f.Truncate(start); err != nil {
+					return nil, err
+				}
+			}
+			return seqs, nil
+		default:
 			return nil, err
 		}
-		data = data[:keep]
 	}
-	seqs := map[string]uint64{}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var rec struct {
-			Session string `json:"session"`
-			Seq     uint64 `json:"seq"`
-			Note    string `json:"note"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Note != "" || rec.Session == "" {
-			continue
-		}
-		if rec.Seq > seqs[rec.Session] {
-			seqs[rec.Session] = rec.Seq
+}
+
+// Prefixes of a race record line, in RaceRecord's field order.
+var (
+	sessionKey = []byte(`{"session":`)
+	seqKey     = []byte(`,"seq":`)
+)
+
+// recordPrefix reads the session id and seq from the start of a race
+// record line, {"session":"…","seq":N. ok is false for any other line.
+func recordPrefix(line []byte) (sid string, seq uint64, ok bool) {
+	rest, found := bytes.CutPrefix(line, sessionKey)
+	if !found || len(rest) == 0 || rest[0] != '"' {
+		return "", 0, false
+	}
+	end, escaped := 1, false // index of the closing quote
+	for ; end < len(rest) && rest[end] != '"'; end++ {
+		if rest[end] == '\\' {
+			end++
+			escaped = true
 		}
 	}
-	return seqs, nil
+	if end >= len(rest) {
+		return "", 0, false
+	}
+	if escaped {
+		if json.Unmarshal(rest[:end+1], &sid) != nil {
+			return "", 0, false
+		}
+	} else {
+		sid = string(rest[1:end])
+	}
+	if rest, found = bytes.CutPrefix(rest[end+1:], seqKey); !found {
+		return "", 0, false
+	}
+	n := 0
+	for n < len(rest) && '0' <= rest[n] && rest[n] <= '9' {
+		n++
+	}
+	seq, err := strconv.ParseUint(string(rest[:n]), 10, 64)
+	return sid, seq, err == nil && sid != ""
 }

@@ -12,6 +12,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -645,6 +646,58 @@ func TestScanReport(t *testing.T) {
 	}
 	if bytes.Contains(data, []byte(`"seq":3`)) || data[len(data)-1] != '\n' {
 		t.Fatalf("torn line not truncated: %q", data)
+	}
+}
+
+// TestScanReportReadsWriterPrefix holds scanReport to what the report
+// writer emits: it reads only the leading {"session":…,"seq":N of each
+// line, so it fails if RaceRecord's first two keys move. Session names
+// that JSON escapes, a line longer than the scan buffer, and the daemon's
+// degraded note (keys sorted, "events" first) are covered too.
+func TestScanReportReadsWriterPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := core.NewReportWriter(f)
+	plain, odd := rw.Session("conn-1"), rw.Session(`q"<\é>`)
+	race := core.Race{Obj: 1, First: trace.Action{Obj: 1, Method: "put"}, Second: trace.Action{Obj: 1, Method: "get"}}
+	long := race
+	long.FirstPoint = string(bytes.Repeat([]byte("x"), 200<<10))
+	for _, w := range []struct {
+		sr *core.SessionReporter
+		r  core.Race
+	}{{plain, race}, {odd, race}, {plain, long}, {plain, race}, {odd, long}} {
+		if err := w.sr.Write(w.r, "dict"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.WriteNote(map[string]any{"note": "degraded", "session": "conn-1", "seq": 99, "events": 1}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want := map[string]uint64{"conn-1": 3, `q"<\é>`: 2}
+	seqs, err := scanReport(path)
+	if err != nil || !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("seqs = %v, err %v; want %v", seqs, err, want)
+	}
+
+	// A torn record longer than the scan buffer is cut back to the last
+	// complete line and does not count.
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(slices.Clone(whole), fmt.Sprintf(`{"session":"conn-1","seq":4,"object":1,"point":"%s`, long.FirstPoint)...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, err = scanReport(path); err != nil || !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("torn: seqs = %v, err %v; want %v", seqs, err, want)
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, whole) {
+		t.Fatalf("torn long line not truncated to the last newline (%d bytes, want %d): %v", len(data), len(whole), err)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -108,6 +109,50 @@ func TestFleetDifferentialCorpus(t *testing.T) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestTransactionEndCompactionDifferential: a transaction end is not a
+// thread's death. With compaction after every join, both runner modes
+// must still report the race between t2's put and the put t1 makes after
+// closing a transaction, as offline detection (no compaction) does.
+func TestTransactionEndCompactionDifferential(t *testing.T) {
+	tr, err := trace.Parse(strings.NewReader(`t0 fork t1
+t0 fork t2
+t1 begin
+t1 end
+t2 act o0.put("a", 1)/nil
+t0 join t2
+t1 act o0.put("a", 2)/1
+t0 join t1
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaces, wantLines := offlineRaceLines(t, tr)
+	if wantRaces != 1 {
+		t.Fatalf("offline found %d races, want 1", wantRaces)
+	}
+	for _, m := range runnerModes {
+		t.Run(m.name, func(t *testing.T) {
+			var report bytes.Buffer
+			d, done := testDaemonCfg(t, &report, func(c *daemonConfig) {
+				m.cfg(c)
+				c.compactOps = 1
+			})
+			sum := streamOnce(t, d, tr, "")
+			d.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			if sum.Error != "" || sum.Events != tr.Len() || sum.Races != wantRaces {
+				t.Fatalf("summary %+v, want %d events and %d race", sum, tr.Len(), wantRaces)
+			}
+			if got := strippedRaceLines(report.String()); !slices.Equal(got, wantLines) {
+				t.Fatalf("daemon records:\n%s\noffline:\n%s",
+					strings.Join(got, "\n"), strings.Join(wantLines, "\n"))
 			}
 		})
 	}
@@ -521,7 +566,6 @@ func TestFleetNoStarvationUnderHotTenant(t *testing.T) {
 	d, done := testDaemonCfg(t, nil, func(c *daemonConfig) {
 		c.fleet = true
 		c.fleetWorkers = 1
-		c.fleetQuantum = 64
 	})
 
 	hogs := make([]*hogRunnable, 3)

@@ -56,9 +56,7 @@ func run(args []string) int {
 	listen := fs.String("listen", "127.0.0.1:7029", "TCP address to accept wire streams on")
 	specName := fs.String("spec", "dict", "default specification: built-in name or file path")
 	bind := fs.String("bind", "", "per-object specs, e.g. 0=dict,3=set")
-	engine := fs.String("engine", "bounded", "conflict engine: bounded or enumerating")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "detection shards per session")
-	maxRaces := fs.Int("max-races", 100, "maximum races retained per session")
 	queueLen := fs.Int("queue", 1024, "per-connection ingest queue depth in events")
 	idleTimeout := fs.Duration("idle-timeout", 30*time.Second, "per-read idle timeout (0 disables)")
 	writeTimeout := fs.Duration("write-timeout", DefaultWriteTimeout, "summary/ack write deadline, also applied to the -report writer when it supports deadlines (0 = the default)")
@@ -71,15 +69,13 @@ func run(args []string) int {
 	compactOps := fs.Int("compact-every", 4096, "compact reclaimable detector state at most once per this many events (0 disables; compaction may trim dead-thread entries from reported point clocks)")
 	fleetMode := fs.Bool("fleet", false, "multi-tenant fleet scheduling: run sessions as quanta on a shared worker pool with per-tenant deficit-round-robin fairness (each session runs one serial detector; -shards applies only to per-conn mode)")
 	fleetWorkers := fs.Int("fleet-workers", 0, "fleet worker pool size (with -fleet; 0 = GOMAXPROCS)")
-	fleetQuantum := fs.Int("fleet-quantum", 0, "events granted per tenant scheduling round (0 = built-in default)")
 	maxSessions := fs.Int("max-sessions", 0, "reject new sessions beyond this resident count with a retryable busy summary (0 = unbounded; enforced with or without -fleet)")
 	globalRate := fs.Float64("global-events-per-sec", 0, "daemon-wide ingest budget; resident sessions overdraft it, but new sessions are rejected busy while it is overdrawn (0 = unlimited)")
 	tenantQuota := fs.String("tenant-quota", "",
 		"per-tenant quotas: 'name:events=5000,burst=500,sessions=4,arena=64MB;...' (name 'default' sets the quota for unlisted tenants; arena requires -fleet)")
 	reportPath := fs.String("report", "", "stream structured race records (JSON Lines) to this file")
 	httpAddr := fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (enables metrics)")
-	statsInterval := fs.Duration("stats-interval", 0, "emit a metrics snapshot to stderr at this interval (enables metrics)")
-	statsJSON := fs.Bool("stats-json", false, "emit -stats-interval snapshots as JSON instead of text")
+	statsInterval := fs.Duration("stats-interval", 0, "print a per-session stats table to stderr at this interval (enables metrics)")
 	quiet := fs.Bool("q", false, "log only startup and shutdown, not per-session lines")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -89,7 +85,6 @@ func run(args []string) int {
 	cfg := daemonConfig{
 		defaultSpec:  *specName,
 		shards:       *shards,
-		maxRaces:     *maxRaces,
 		queueLen:     *queueLen,
 		idleTimeout:  *idleTimeout,
 		writeTimeout: *writeTimeout,
@@ -101,7 +96,6 @@ func run(args []string) int {
 		logger:       logger,
 		fleet:        *fleetMode,
 		fleetWorkers: *fleetWorkers,
-		fleetQuantum: *fleetQuantum,
 		maxSessions:  *maxSessions,
 		globalRate:   *globalRate,
 	}
@@ -163,16 +157,6 @@ func run(args []string) int {
 			cfg.bindSpecs[trace.ObjID(id)] = kv[1]
 		}
 	}
-	switch *engine {
-	case "bounded":
-		cfg.engine = core.EngineBounded
-	case "enumerating":
-		cfg.engine = core.EngineEnumerating
-	default:
-		logger.Printf("unknown engine %q", *engine)
-		return 2
-	}
-
 	if *httpAddr != "" || *statsInterval > 0 {
 		obs.SetEnabled(true)
 	}
@@ -201,12 +185,7 @@ func run(args []string) int {
 		logger.Printf("metrics on http://%s/metrics, sessions on /sessions", srv.Addr())
 	}
 	if *statsInterval > 0 {
-		if *statsJSON {
-			em := obs.StartEmitter(os.Stderr, obs.Default, *statsInterval, true)
-			defer em.Stop()
-		} else {
-			defer d.startStatsTable(os.Stderr, *statsInterval)()
-		}
+		defer d.startStatsTable(os.Stderr, *statsInterval)()
 	}
 	if *stateDir != "" {
 		// Rehydrate before serving: the listener is bound (connections

@@ -69,9 +69,7 @@ func testDaemonCfg(t *testing.T, report *bytes.Buffer, mut func(*daemonConfig)) 
 	cfg := daemonConfig{
 		defaultRep:  rep,
 		defaultSpec: "dict",
-		engine:      core.EngineBounded,
 		shards:      2,
-		maxRaces:    100,
 		queueLen:    64,
 		idleTimeout: 5 * time.Second,
 		compactOps:  32,
@@ -669,5 +667,28 @@ func TestArenaQuotaRequiresFleet(t *testing.T) {
 	}
 	if !strings.Contains(string(msg), "-fleet") {
 		t.Fatalf("startup error does not name -fleet:\n%s", msg)
+	}
+}
+
+// TestRemovedFlagsRejected: the daemon always runs the bounded engine,
+// retains no races, uses the built-in fleet quantum and serves JSON only on
+// /metrics, so these flags are unknown and fail startup with exit 2.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-engine", "bounded"}, {"-max-races", "1"}, {"-fleet-quantum", "1"}, {"-stats-json"},
+	} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		rc := run(append([]string{"-listen", "127.0.0.1:0"}, args...))
+		os.Stderr = stderr
+		w.Close()
+		msg, _ := io.ReadAll(r)
+		if rc != 2 || !strings.Contains(string(msg), "flag provided but not defined: "+args[0]) {
+			t.Fatalf("rd2d %v exited %d, want 2 for an unknown flag; stderr:\n%s", args, rc, msg)
+		}
 	}
 }

@@ -249,7 +249,9 @@ func (d *daemon) newSession(sid, tenant string, restore *sessionRestore) *sessio
 			s.dur = ds
 		}
 	}
-	ccfg := core.Config{Engine: d.cfg.engine, MaxRaces: d.cfg.maxRaces, Obs: scope}
+	// The daemon retains no races (MaxRaces < 0): summaries count through
+	// Stats().Races and records stream out through OnRace.
+	ccfg := core.Config{Engine: core.EngineBounded, MaxRaces: -1, Obs: scope}
 	if d.cfg.reporter != nil {
 		s.sr = d.cfg.reporter.Session(name)
 		if restore != nil {

@@ -72,11 +72,14 @@ func TestCompactBottomThresholdIsNoop(t *testing.T) {
 	}
 }
 
+// TestMeetLiveTracksJoinsAndEnds: a join ends the joined thread, a
+// transaction end does not (Begin/End delimit an atomic block).
 func TestMeetLiveTracksJoinsAndEnds(t *testing.T) {
 	en := hb.New()
 	events := []trace.Event{
 		trace.Fork(0, 1),
 		trace.Fork(0, 2),
+		{Kind: trace.BeginEvent, Thread: 2},
 		{Kind: trace.EndEvent, Thread: 2},
 		trace.Join(0, 1),
 	}
@@ -85,9 +88,17 @@ func TestMeetLiveTracksJoinsAndEnds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// t1 is joined; t0 and t2 are live, so the meet is theirs.
+	want := en.ThreadClock(0).Clone().MeetWith(en.ThreadClock(2))
+	if meet := en.MeetLive(); !meet.Equal(want) {
+		t.Fatalf("meet = %s, want the meet of t0 and t2 %s", meet, want)
+	}
+	join := trace.Join(0, 2)
+	if _, err := en.Process(&join); err != nil {
+		t.Fatal(err)
+	}
 	// Only t0 is live; the meet equals t0's clock.
-	meet := en.MeetLive()
-	if !meet.Equal(en.ThreadClock(0)) {
+	if meet := en.MeetLive(); !meet.Equal(en.ThreadClock(0)) {
 		t.Fatalf("meet = %s, want t0's clock %s", meet, en.ThreadClock(0))
 	}
 }

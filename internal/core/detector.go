@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ap"
 	"repro/internal/hb"
@@ -127,7 +126,9 @@ type Config struct {
 	// OnRace, when set, is invoked for every race found.
 	OnRace func(Race)
 	// MaxRaces caps the retained Races slice (counters keep counting).
-	// Zero means DefaultMaxRaces.
+	// Zero means DefaultMaxRaces. A negative value retains no race at all:
+	// Stats().Races still counts every race and OnRace still sees each
+	// one, which is how rd2d runs (it streams races, never reads Races).
 	MaxRaces int
 	// Obs is the registry the detector's metrics record into. Nil means
 	// obs.Default (all detectors aggregate process-wide, the historical
@@ -613,25 +614,4 @@ func (d *Detector) RunTrace(tr *trace.Trace) error {
 		}
 	}
 	return nil
-}
-
-// RunSource stamps and detects over a streaming event source (a wire
-// decoder, a text scanner, an in-memory slice) without materializing the
-// trace: one event is live at a time. Objects must already be registered.
-// It reports the identical race set as RunTrace over the same events.
-func (d *Detector) RunSource(src trace.Source) error {
-	defer d.FlushObs()
-	st := hb.NewStream(src)
-	for {
-		e, err := st.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		if err := d.Process(&e); err != nil {
-			return err
-		}
-	}
 }

@@ -466,6 +466,29 @@ func TestMaxRacesCap(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxRacesRetainsNone: MaxRaces < 0 keeps no race, while the
+// counters and OnRace still see every one (rd2d's configuration).
+func TestNegativeMaxRacesRetainsNone(t *testing.T) {
+	b := trace.NewBuilder()
+	for i := 1; i <= 8; i++ {
+		b.Fork(0, vclock.Tid(i))
+	}
+	for i := 1; i <= 8; i++ {
+		b.Put(vclock.Tid(i), 0, aCom, trace.IntValue(int64(i)), trace.NilValue)
+	}
+	seen := 0
+	d := newDictDetector(Config{MaxRaces: -1, OnRace: func(Race) { seen++ }})
+	if err := d.RunTrace(b.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.Races()); n != 0 {
+		t.Errorf("retained races = %d, want 0", n)
+	}
+	if n := d.Stats().Races; n == 0 || n != seen {
+		t.Errorf("race counter = %d, OnRace calls = %d; want equal and > 0", n, seen)
+	}
+}
+
 func TestEngineString(t *testing.T) {
 	for e, want := range map[Engine]string{
 		EngineAuto: "auto", EngineBounded: "bounded", EngineEnumerating: "enumerating",
@@ -538,8 +561,8 @@ func benchDetector(b *testing.B, engine Engine) {
 }
 
 // TestStampErrorKeepsPrefix: a stamping error (a receive with no pending
-// send) stops RunTrace and RunSource at the same positioned error, after
-// the valid prefix was detected.
+// send) stops RunTrace at a positioned error, after the valid prefix was
+// detected.
 func TestStampErrorKeepsPrefix(t *testing.T) {
 	tr := &trace.Trace{}
 	tr.Append(trace.Fork(0, 1))
@@ -547,20 +570,13 @@ func TestStampErrorKeepsPrefix(t *testing.T) {
 	tr.Append(trace.Recv(1, 9)) // no pending send
 	tr.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
 
-	for _, mode := range []string{"trace", "source"} {
-		d := New(Config{})
-		d.Register(0, dictRep)
-		var err error
-		if mode == "trace" {
-			err = d.RunTrace(tr)
-		} else {
-			err = d.RunSource(tr.Source())
-		}
-		if err == nil || !strings.Contains(err.Error(), "event 2 (t1 recv c9)") {
-			t.Fatalf("%s: err = %v, want the position of the bad receive", mode, err)
-		}
-		if n := d.Stats().Actions; n != 1 {
-			t.Fatalf("%s: %d actions detected, want the 1 before the error", mode, n)
-		}
+	d := New(Config{})
+	d.Register(0, dictRep)
+	err := d.RunTrace(tr)
+	if err == nil || !strings.Contains(err.Error(), "event 2 (t1 recv c9)") {
+		t.Fatalf("err = %v, want the position of the bad receive", err)
+	}
+	if n := d.Stats().Actions; n != 1 {
+		t.Fatalf("%d actions detected, want the 1 before the error", n)
 	}
 }

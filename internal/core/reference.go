@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ap"
 	"repro/internal/hb"
@@ -276,21 +275,4 @@ func (d *RefDetector) RunTrace(tr *trace.Trace) error {
 		}
 	}
 	return nil
-}
-
-// RunSource stamps and detects over a streaming event source.
-func (d *RefDetector) RunSource(src trace.Source) error {
-	st := hb.NewStream(src)
-	for {
-		e, err := st.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		if err := d.Process(&e); err != nil {
-			return err
-		}
-	}
 }

@@ -77,7 +77,7 @@ type Engine struct {
 type threadState struct {
 	clock  vclock.VC
 	seen   bool
-	dead   bool // joined or ended
+	dead   bool // joined: only a join ends a thread
 	shared bool // clock is frozen: stamped on events, locks, or messages
 	tok    int  // clockcheck poison token for the frozen snapshot
 }
@@ -264,12 +264,11 @@ func (en *Engine) Process(e *trace.Event) (vclock.VC, error) {
 		}
 		en.joinInto(ts, msg)
 		e.Clock = en.freeze(ts)
-	case trace.EndEvent:
-		e.Clock = en.freeze(ts)
-		ts.dead = true
 	case trace.ActionEvent, trace.ReadEvent, trace.WriteEvent,
-		trace.BeginEvent, trace.DieEvent:
+		trace.BeginEvent, trace.EndEvent, trace.DieEvent:
 		// The hot path: zero allocations, the segment snapshot is reused.
+		// Begin and End delimit a transaction, not the thread's life: the
+		// thread stays live for MeetLive until some thread joins it.
 		e.Clock = en.freeze(ts)
 	default:
 		return nil, fmt.Errorf("hb: unknown event kind %v", e.Kind)
@@ -277,8 +276,8 @@ func (en *Engine) Process(e *trace.Event) (vclock.VC, error) {
 	return e.Clock, nil
 }
 
-// MeetLive returns the pointwise minimum of all live (not joined, not
-// ended) threads' clocks. Every access point whose accumulated clock is ⊑
+// MeetLive returns the pointwise minimum of all live (not yet joined)
+// threads' clocks. Every access point whose accumulated clock is ⊑
 // this meet is dominated by every possible future event and can never
 // participate in a race again (the Section 5.3 reclamation the paper leaves
 // as future work). It returns nil (bottom) when no thread is live. The

@@ -2,6 +2,7 @@ package hb
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -321,5 +322,46 @@ func TestRecvWithoutSendFails(t *testing.T) {
 	tr.Append(trace.Recv(0, 0))
 	if err := StampAll(tr); err == nil {
 		t.Fatal("recv without send must fail")
+	}
+}
+
+// TestTransactionEndKeepsThreadLive: Begin/End delimit a transaction, not
+// the thread's life. A thread that closed a transaction can still act, so
+// MeetLive must keep its clock: here t1's later put races with t2's put,
+// and a meet that left t1 out would dominate t2's put and let compaction
+// reclaim the point the race needs.
+func TestTransactionEndKeepsThreadLive(t *testing.T) {
+	tr, err := trace.Parse(strings.NewReader(`t0 fork t1
+t0 fork t2
+t1 begin
+t1 end
+t2 act o0.put("a", 1)/nil
+t0 join t2
+t1 act o0.put("a", 2)/1
+t0 join t1
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	en := New()
+	for i := 0; i < 6; i++ { // through t0 join t2
+		if _, err := en.Process(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := tr.Events[4].Clock
+	if meet := en.MeetLive(); put.LEQ(meet) {
+		t.Fatalf("MeetLive %s dominates t2's put %s although t1 is still live", meet, put)
+	}
+	for i := 6; i < len(tr.Events); i++ {
+		if _, err := en.Process(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if put.LEQ(tr.Events[6].Clock) {
+		t.Fatalf("t1's put %s is ordered after t2's put %s; want a race", tr.Events[6].Clock, put)
+	}
+	if meet := en.MeetLive(); !meet.Equal(en.ThreadClock(0)) {
+		t.Fatalf("after both joins MeetLive = %s, want t0's clock %s", meet, en.ThreadClock(0))
 	}
 }

@@ -1,35 +1,29 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"time"
 )
 
-// Emitter periodically writes registry snapshots to a writer — the
-// long-run path (-stats-interval on the commands): a JSONL stream for
-// machines or text blocks for eyeballs.
+// Emitter periodically writes registry snapshots to a writer as text
+// blocks (FormatSnapshot) — the long-run path (-stats-interval on rd2 and
+// rd2bench). Machines read /metrics and /debug/vars instead.
 type Emitter struct {
 	stop chan struct{}
 	done chan struct{}
 }
 
-// StartEmitter begins emitting a snapshot of reg to w every interval. When
-// jsonFormat is true each snapshot is one JSON line (JSONL); otherwise a
-// human-readable block (FormatSnapshot). All writes happen on the
-// emitter's own goroutine, including the final snapshot flushed by Stop,
-// so an unsynchronized writer is safe as long as nothing else writes it.
-func StartEmitter(w io.Writer, reg *Registry, interval time.Duration, jsonFormat bool) *Emitter {
+// StartEmitter begins writing FormatSnapshot of reg to w every interval.
+// All writes happen on the emitter's own goroutine, including the final
+// snapshot flushed by Stop, so an unsynchronized writer is safe as long as
+// nothing else writes it.
+func StartEmitter(w io.Writer, reg *Registry, interval time.Duration) *Emitter {
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
 	e := &Emitter{stop: make(chan struct{}), done: make(chan struct{})}
 	emit := func() {
-		if jsonFormat {
-			json.NewEncoder(w).Encode(reg.Snapshot()) //nolint:errcheck // monitoring is best-effort
-			return
-		}
-		io.WriteString(w, FormatSnapshot(reg.Snapshot())) //nolint:errcheck
+		io.WriteString(w, FormatSnapshot(reg.Snapshot())) //nolint:errcheck // monitoring is best-effort
 	}
 	go func() {
 		defer close(e.done)

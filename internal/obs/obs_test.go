@@ -286,22 +286,44 @@ func TestFormatSnapshotAndStats(t *testing.T) {
 	}
 }
 
-func TestEmitterJSONAndText(t *testing.T) {
+// firstWrite records everything written and closes first on the first
+// write.
+type firstWrite struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	first chan struct{}
+}
+
+func (w *firstWrite) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.buf.Len() == 0 {
+		close(w.first)
+	}
+	return w.buf.Write(p)
+}
+
+// TestEmitterText: Stop flushes one text snapshot even before the first
+// tick, and the ticker emits on its own between Start and Stop.
+func TestEmitterText(t *testing.T) {
 	withEnabled(t)
 	r := NewRegistry()
 	r.Counter("e.ticks").Add(1)
 	var buf bytes.Buffer
-	e := StartEmitter(&buf, r, time.Hour, true) // only the Stop flush fires
+	e := StartEmitter(&buf, r, time.Hour) // only the Stop flush fires
 	e.Stop()
-	line := strings.TrimSpace(buf.String())
-	if err := ValidateSnapshot([]byte(line)); err != nil {
-		t.Fatalf("emitted JSONL line invalid: %v\n%s", err, line)
+	if n := strings.Count(buf.String(), "e.ticks"); n != 1 {
+		t.Fatalf("Stop flushed %d snapshots, want 1:\n%s", n, buf.String())
 	}
-	buf.Reset()
-	e = StartEmitter(&buf, r, 5*time.Millisecond, false)
-	time.Sleep(30 * time.Millisecond)
+	w := &firstWrite{first: make(chan struct{})}
+	e = StartEmitter(w, r, time.Millisecond)
+	select {
+	case <-w.first:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ticker emitted no snapshot in 10s")
+	}
 	e.Stop()
-	if !strings.Contains(buf.String(), "e.ticks") {
-		t.Fatalf("text emitter produced no snapshot:\n%s", buf.String())
+	if n := strings.Count(w.buf.String(), "e.ticks"); n < 2 {
+		t.Fatalf("want a ticked snapshot and the Stop flush, got %d:\n%s", n, w.buf.String())
 	}
 }

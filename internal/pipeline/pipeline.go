@@ -38,7 +38,6 @@ package pipeline
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"runtime"
 	"runtime/debug"
@@ -99,7 +98,8 @@ type Config struct {
 	// behind (backpressure instead of unbounded buffering).
 	QueueLen int
 	// Core configures each shard's private detector. MaxRaces caps both the
-	// per-shard retention and the merged report. OnRace, when set, is
+	// per-shard retention and the merged report (negative: nothing is
+	// retained or merged). OnRace, when set, is
 	// invoked from shard goroutines and must be safe for concurrent use.
 	Core core.Config
 	// Obs is the registry the pipeline's counters, gauges, and stage spans
@@ -614,26 +614,4 @@ func (p *Pipeline) RunTrace(tr *trace.Trace) error {
 		}
 	}
 	return p.Close()
-}
-
-// RunSource stamps a streaming event source, feeds every event through the
-// shards, and closes the pipeline — the bounded-memory ingestion path: the
-// shard queues provide backpressure. Objects must already be registered.
-// Reports the identical race set as RunTrace over the same events.
-func (p *Pipeline) RunSource(src trace.Source) error {
-	st := hb.NewStreamObs(src, p.cfg.Obs)
-	for {
-		e, err := st.Next()
-		if err == io.EOF {
-			return p.Close()
-		}
-		if err != nil {
-			p.Close()
-			return fmt.Errorf("pipeline: %w", err)
-		}
-		if err := p.Process(&e); err != nil {
-			p.Close()
-			return err
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,6 +240,31 @@ func TestMaxRacesCap(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxRacesRetainsNone: with MaxRaces < 0 (rd2d's per-conn
+// sessions) no shard retains a race and Close merges none, while the
+// merged counter and OnRace still see every race.
+func TestNegativeMaxRacesRetainsNone(t *testing.T) {
+	b := trace.NewBuilder().Fork(0, 1).Fork(0, 2)
+	for i := 0; i < 20; i++ {
+		b.Put(1, trace.ObjID(i%4), trace.StrValue("k"), trace.IntValue(int64(i+1)), trace.IntValue(int64(i)))
+		b.Put(2, trace.ObjID(i%4), trace.StrValue("k"), trace.IntValue(int64(i+100)), trace.IntValue(int64(i+1)))
+	}
+	var seen atomic.Int64
+	p := New(Config{Shards: 3, Core: core.Config{MaxRaces: -1, OnRace: func(core.Race) { seen.Add(1) }}})
+	for o := 0; o < 4; o++ {
+		p.Register(trace.ObjID(o), dictRep)
+	}
+	if err := p.RunTrace(b.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.Races()); n != 0 {
+		t.Errorf("retained %d races, want 0", n)
+	}
+	if n := p.Stats().Races; n == 0 || int64(n) != seen.Load() {
+		t.Errorf("race counter %d, OnRace calls %d; want equal and > 0", n, seen.Load())
+	}
+}
+
 // TestOnRaceFromShards: the OnRace callback fires once per race from shard
 // goroutines; a mutex-protected counter must observe all of them.
 func TestOnRaceFromShards(t *testing.T) {
@@ -294,8 +320,8 @@ func TestBottomCompactIsNoop(t *testing.T) {
 }
 
 // TestStampErrorKeepsPrefix: a stamping error (a receive with no pending
-// send) stops RunTrace and RunSource at a positioned error, after the
-// valid prefix was detected by the shards.
+// send) stops RunTrace at a positioned error, after the valid prefix was
+// detected by the shards.
 func TestStampErrorKeepsPrefix(t *testing.T) {
 	tr := &trace.Trace{}
 	tr.Append(trace.Fork(0, 1))
@@ -303,21 +329,14 @@ func TestStampErrorKeepsPrefix(t *testing.T) {
 	tr.Append(trace.Recv(1, 7)) // no pending send
 	tr.Append(trace.Act(1, trace.Action{Obj: 0, Method: "size", Rets: []trace.Value{trace.IntValue(0)}}))
 
-	for _, mode := range []string{"trace", "source"} {
-		p := New(Config{Shards: 2})
-		p.Register(0, dictRep)
-		var err error
-		if mode == "trace" {
-			err = p.RunTrace(unstampedCopy(tr))
-		} else {
-			err = p.RunSource(unstampedCopy(tr).Source())
-		}
-		if err == nil || !strings.Contains(err.Error(), "event 2 (t1 recv c7)") {
-			t.Fatalf("%s: err = %v, want the position of the bad receive", mode, err)
-		}
-		if n := p.Stats().Actions; n != 1 {
-			t.Fatalf("%s: %d actions detected, want the 1 before the error", mode, n)
-		}
+	p := New(Config{Shards: 2})
+	p.Register(0, dictRep)
+	err := p.RunTrace(unstampedCopy(tr))
+	if err == nil || !strings.Contains(err.Error(), "event 2 (t1 recv c7)") {
+		t.Fatalf("err = %v, want the position of the bad receive", err)
+	}
+	if n := p.Stats().Actions; n != 1 {
+		t.Fatalf("%d actions detected, want the 1 before the error", n)
 	}
 }
 

@@ -173,9 +173,10 @@ func TestDifferentialSnapshotVsCloneStamping(t *testing.T) {
 
 // TestCorpusStampingByteIdentical holds the three stampers to one another
 // over every trace in examples/traces (text and binary formats): the
-// batch stamper hb.StampAll, the incremental hb.Stream (the rd2d ingest
-// front end), and the clone-per-event reference must produce equal clocks
-// on every event.
+// batch stamper hb.StampAll, one hb.Engine.Process call per event pulled
+// from a trace.Source (the loop rd2d's session runner runs over its
+// decoder), and the clone-per-event reference must produce equal clocks on
+// every event.
 func TestCorpusStampingByteIdentical(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "traces")
 	entries, err := os.ReadDir(dir)
@@ -206,11 +207,14 @@ func TestCorpusStampingByteIdentical(t *testing.T) {
 		if err := hb.StampAll(batch); err != nil {
 			t.Fatalf("%s: StampAll: %v", ent.Name(), err)
 		}
-		st := hb.NewStream(unstampedCopy(tr).Source())
+		src, en := unstampedCopy(tr).Source(), hb.New()
 		for i := range ref.Events {
-			e, err := st.Next()
+			e, err := src.Next()
 			if err != nil {
-				t.Fatalf("%s: Stream ended after %d of %d events: %v", ent.Name(), i, len(ref.Events), err)
+				t.Fatalf("%s: source ended after %d of %d events: %v", ent.Name(), i, len(ref.Events), err)
+			}
+			if _, err := en.Process(&e); err != nil {
+				t.Fatalf("%s event %d (%s): Process: %v", ent.Name(), i, e.String(), err)
 			}
 			want := ref.Events[i].Clock
 			if got := batch.Events[i].Clock; !slices.Equal(got, want) {
@@ -218,13 +222,14 @@ func TestCorpusStampingByteIdentical(t *testing.T) {
 					ent.Name(), i, ref.Events[i].String(), got, want)
 			}
 			if !slices.Equal(e.Clock, want) {
-				t.Fatalf("%s event %d (%s): Stream clock %s, reference %s",
+				t.Fatalf("%s event %d (%s): Process clock %s, reference %s",
 					ent.Name(), i, ref.Events[i].String(), e.Clock, want)
 			}
 		}
-		if _, err := st.Next(); err != io.EOF {
-			t.Fatalf("%s: Stream after last event: %v, want EOF", ent.Name(), err)
+		if _, err := src.Next(); err != io.EOF {
+			t.Fatalf("%s: source after last event: %v, want EOF", ent.Name(), err)
 		}
+		en.VerifySnapshots()
 	}
 	if n == 0 {
 		t.Fatal("empty trace corpus")

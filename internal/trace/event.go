@@ -64,7 +64,8 @@ type EventKind uint8
 // The event kinds. Fork/Join/Acquire/Release are the synchronization events
 // of Table 1; ActionEvent is a shared-object method invocation; ReadEvent
 // and WriteEvent are low-level memory accesses (consumed by the FASTTRACK
-// baseline); BeginEvent and EndEvent delimit a thread's lifetime; DieEvent
+// baseline); BeginEvent and EndEvent delimit a transaction (an atomic
+// block: monitor.Thread.Begin/End, internal/atomicity); DieEvent
 // reclaims a shared object's analysis state (the Section 5.3 optimization).
 const (
 	ForkEvent EventKind = iota

@@ -8,11 +8,11 @@ import (
 )
 
 // Source yields the events of a trace one at a time, in trace order. Next
-// returns io.EOF after the last event. It is the streaming front door of
-// the detectors: core.Detector.RunSource and pipeline.Pipeline.RunSource
-// consume a Source directly, so traces never have to be materialized in
-// memory (the wire decoder, the text scanner, and the rd2d ingestion
-// daemon all produce events incrementally).
+// returns io.EOF after the last event. The wire decoder and the text
+// scanner produce events this way, and wire clients send a Source
+// (SendSource), so a stream never has to be materialized in memory. A
+// consumer stamps each event with hb.Engine.Process before detecting, as
+// rd2d's session runner does.
 //
 // A Source assigns each event its Seq in stream order, exactly like
 // Trace.Append does for in-memory traces.

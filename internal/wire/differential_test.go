@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hb"
 	"repro/internal/specs"
 	"repro/internal/trace"
 )
@@ -15,8 +17,10 @@ import (
 // TestDifferentialExamples checks, for every committed example trace, that
 //
 //  1. text → wire → text round-trips byte-identically, and
-//  2. serial detection over the streamed wire decoder reports the identical
-//     race set as detection over the in-memory trace.Parse result.
+//  2. serial detection over the streamed wire decoder, stamped one event at
+//     a time with hb.Engine.Process as rd2d's session runner does, reports
+//     the identical race set as detection over the in-memory trace.Parse
+//     result.
 func TestDifferentialExamples(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/traces/*.trace")
 	if err != nil {
@@ -81,8 +85,21 @@ func TestDifferentialExamples(t *testing.T) {
 			for o := range objs {
 				str.Register(o, rep)
 			}
-			if err := str.RunSource(d); err != nil {
-				t.Fatal(err)
+			en := hb.New()
+			for {
+				e, err := d.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := en.Process(&e); err != nil {
+					t.Fatalf("event %d (%s): %v", e.Seq, e.String(), err)
+				}
+				if err := str.Process(&e); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			want, have := mem.Races(), str.Races()
